@@ -15,12 +15,10 @@
 //! serial vs N-thread wall-clock for predicate extraction and support
 //! counting on a large generated city, with outputs verified identical.
 //! The `kernel` subcommand benchmarks the segment-indexed geometry kernel
-//! against the brute-force one on layers of growing vertex count, plus
-//! the lane-parallel (SIMD) point-location path against the scalar
-//! segment index, and re-runs a small extraction with the SIMD layer off
-//! and on across thread counts to prove the outputs bit-identical; with
-//! `--check` it exits non-zero unless SIMD point location beats scalar by
-//! ≥ 1.5x on the largest layer in the run. The
+//! against the brute-force one on layers of growing vertex count, and
+//! reports quantized point location against the exact segment index;
+//! with `--check` it exits non-zero unless the quantized ring declines
+//! fewer than 5% of the probes on a lattice workload. The
 //! `counting` subcommand races every support-counting strategy
 //! (hash-subset, prefix-trie, eclat, bitmap, diffset, hybrid, auto) on
 //! the canonical seed-42 workload after verifying their outputs
@@ -1006,35 +1004,41 @@ fn print_tiling(grid: usize, tiles: usize, check: bool) {
 ///   `geometry_distance` + threshold over a fixed pair sample (the
 ///   extraction workload for a bounded distance scheme), where the
 ///   branch-and-bound index can discard most pairs from envelopes alone;
-/// * **point location** — the lane-parallel `SoaRing` crossing scan
-///   against the scalar segment index it embeds, on dense probe grids
-///   over each polygon's envelope (the containment sweeps inside every
-///   areal relate and distance call).
+/// * **point location** — the quantized integer ring (`QuantRing`),
+///   falling back to the exact `RingIndex` on the queries it declines,
+///   against the exact index alone, on dense probe grids over each
+///   polygon's envelope (the containment sweeps inside every areal
+///   relate and distance call). Reported, not gated.
 ///
-/// A final stage re-runs a small extraction with the SIMD layer disabled
-/// and enabled at 1, 2 and 8 threads and asserts the predicate tables,
-/// rows and stats identical — the bit-identity contract, observed
-/// end-to-end. With `check`, the run exits non-zero unless SIMD point
-/// location beats the scalar index by ≥ 1.5x on the largest layer.
-/// One vertex-size row of the point-location comparison: scalar index vs
-/// f64 SIMD lanes vs the quantized integer grid.
-struct LocateRow {
-    vertices: usize,
-    probes: usize,
-    scalar_us: u128,
-    simd_us: u128,
-    simd_speedup: f64,
-    quant_us: u128,
-    quant_speedup: f64,
-    quant_resolved: u64,
-    quant_fallbacks: u64,
-}
-
+/// A lattice workload then measures how often the quantized ring has to
+/// decline on grid-friendly data. With `check`, the run exits non-zero
+/// unless those fallbacks stay under 5% of the lattice probes.
 fn print_kernel(max_vertices: usize, check: bool) {
     use geopattern_geom::{
-        geometry_distance, relate, set_quant_enabled, set_simd_enabled, take_kernel_counters,
-        Geometry, PreparedGeometry, SoaRing,
+        geometry_distance, relate, take_kernel_counters, Coord, Geometry, PointLocation,
+        PreparedGeometry, QuantRing, Ring, RingIndex,
     };
+
+    /// The prepared point-location path: quantized first, exact index for
+    /// the queries the grid declines. The flag is false when the exact
+    /// index answered.
+    fn locate(q: &QuantRing, exact: &RingIndex, p: Coord) -> (PointLocation, bool) {
+        match q.try_locate(p) {
+            Some(loc) => (loc, true),
+            None => (exact.locate(p), false),
+        }
+    }
+
+    /// A `G`×`G` grid of cell-centre probes over a ring's envelope.
+    fn probe_grid(ring: &Ring, g: usize) -> impl Iterator<Item = Coord> {
+        let env = ring.envelope();
+        let (w, h) = (env.max.x - env.min.x, env.max.y - env.min.y);
+        (0..g * g).map(move |k| {
+            let fx = ((k % g) as f64 + 0.5) / g as f64;
+            let fy = ((k / g) as f64 + 0.5) / g as f64;
+            geopattern_geom::coord(env.min.x + fx * w, env.min.y + fy * h)
+        })
+    }
 
     header("Geometry kernel — segment-indexed vs brute-force");
     let sizes: Vec<usize> =
@@ -1043,6 +1047,7 @@ fn print_kernel(max_vertices: usize, check: bool) {
     const EXTENT: f64 = 40.0;
     const BOUND: f64 = 6.0; // qualitative-distance cutoff (largest bounded band)
     const DIST_PAIRS: usize = 128; // fixed sample so sizes are comparable
+    const PROBE_GRID: usize = 16;
     println!(
         "two layers of {COUNT} star polygons over a {EXTENT}×{EXTENT} extent; distance bound {BOUND}"
     );
@@ -1061,11 +1066,7 @@ fn print_kernel(max_vertices: usize, check: bool) {
     );
 
     let mut rows = Vec::new();
-    let mut locate_rows: Vec<LocateRow> = Vec::new();
-    // Legacy f64 measurements run with the quantized layer off so the
-    // scalar/SIMD numbers keep their meaning; the quant legs flip it on.
-    set_simd_enabled(true);
-    set_quant_enabled(false);
+    let mut locate_rows: Vec<String> = Vec::new();
     for &vertices in &sizes {
         let mut rng = geopattern_testkit::Rng::seed_from_u64(42 + vertices as u64);
         let la = geopattern_datagen::random_layer(&mut rng, "a", COUNT, vertices, EXTENT);
@@ -1112,18 +1113,6 @@ fn print_kernel(max_vertices: usize, check: bool) {
                 std::hint::black_box(pa[i].relate_to(&pb[j]));
             }
         });
-        // Quantized relate leg: identical matrices (asserted), with the
-        // integer grid resolving point-in-ring probes ahead of the lanes.
-        set_quant_enabled(true);
-        for &(i, j) in &relate_pairs {
-            assert_eq!(pa[i].relate_to(&pb[j]), relate(ga[i], gb[j]), "quant relate diverged");
-        }
-        let relate_quant_us = time_us_n(reps, || {
-            for &(i, j) in &relate_pairs {
-                std::hint::black_box(pa[i].relate_to(&pb[j]));
-            }
-        });
-        set_quant_enabled(false);
         let dist_brute_us = time_us_n(reps, || {
             for &(i, j) in &dist_pairs {
                 std::hint::black_box(geometry_distance(ga[i], gb[j]) <= BOUND);
@@ -1137,81 +1126,47 @@ fn print_kernel(max_vertices: usize, check: bool) {
         });
         let counters = take_kernel_counters();
 
-        // Point-location workload: the lane-parallel crossing scan vs the
-        // scalar segment index, on a dense probe grid over each polygon's
-        // envelope (every probe does real parity work). Identity first —
-        // including the epsilon-band fallback on any boundary-grazing
-        // probe — then throughput.
-        const PROBE_GRID: usize = 16;
-        let soas: Vec<SoaRing> = ga
+        // Point-location workload: the quantized path vs the exact index
+        // alone, on a dense probe grid over each polygon's envelope (every
+        // probe does real parity work). Identity first, then throughput.
+        let exteriors: Vec<&Ring> = ga
             .iter()
             .filter_map(|g| match g {
-                Geometry::Polygon(p) => Some(SoaRing::build(p.exterior())),
+                Geometry::Polygon(p) => Some(p.exterior()),
                 _ => None,
             })
             .collect();
-        let probes: Vec<(usize, geopattern_geom::Coord)> = soas
+        let rings: Vec<(QuantRing, RingIndex)> =
+            exteriors.iter().map(|r| (QuantRing::build(r), RingIndex::build(r))).collect();
+        let probes: Vec<(usize, Coord)> = exteriors
             .iter()
             .enumerate()
-            .flat_map(|(i, soa)| {
-                let env = soa.index().envelope();
-                let (w, h) = (env.max.x - env.min.x, env.max.y - env.min.y);
-                (0..PROBE_GRID * PROBE_GRID).map(move |k| {
-                    let (gx, gy) = (k % PROBE_GRID, k / PROBE_GRID);
-                    let fx = (gx as f64 + 0.5) / PROBE_GRID as f64;
-                    let fy = (gy as f64 + 0.5) / PROBE_GRID as f64;
-                    (i, geopattern_geom::coord(env.min.x + fx * w, env.min.y + fy * h))
-                })
-            })
+            .flat_map(|(i, ring)| probe_grid(ring, PROBE_GRID).map(move |p| (i, p)))
             .collect();
-        set_simd_enabled(true);
+        let mut resolved = 0usize;
         for &(i, p) in &probes {
-            assert_eq!(soas[i].locate(p), soas[i].index().locate(p), "locate diverged at {p:?}");
+            let (q, exact) = &rings[i];
+            let (loc, certain) = locate(q, exact, p);
+            assert_eq!(loc, exact.locate(p), "quant locate diverged at {p:?}");
+            resolved += usize::from(certain);
         }
-        let locate_scalar_us = time_us_n(reps, || {
+        let locate_exact_us = time_us_n(reps, || {
             for &(i, p) in &probes {
-                std::hint::black_box(soas[i].index().locate(p));
+                std::hint::black_box(rings[i].1.locate(p));
             }
         });
-        let _ = take_kernel_counters();
-        let locate_simd_us = time_us_n(reps, || {
-            for &(i, p) in &probes {
-                std::hint::black_box(soas[i].locate(p));
-            }
-        });
-        let simd_counters = take_kernel_counters();
-        // Quantized point location: identity per probe (certain answers
-        // are exact on the grid, ambiguous ones fall back), then
-        // throughput against the same probe set.
-        set_quant_enabled(true);
-        for &(i, p) in &probes {
-            assert_eq!(
-                soas[i].locate(p),
-                soas[i].index().locate(p),
-                "quant locate diverged at {p:?}"
-            );
-        }
-        let _ = take_kernel_counters();
         let locate_quant_us = time_us_n(reps, || {
             for &(i, p) in &probes {
-                std::hint::black_box(soas[i].locate(p));
+                std::hint::black_box(locate(&rings[i].0, &rings[i].1, p));
             }
         });
-        let quant_counters = take_kernel_counters();
-        set_quant_enabled(false);
-        let locate_speedup = locate_scalar_us as f64 / locate_simd_us.max(1) as f64;
-        let quant_speedup = locate_simd_us as f64 / locate_quant_us.max(1) as f64;
-        locate_rows.push(LocateRow {
-            vertices,
-            probes: probes.len(),
-            scalar_us: locate_scalar_us,
-            simd_us: locate_simd_us,
-            simd_speedup: locate_speedup,
-            quant_us: locate_quant_us,
-            quant_speedup,
-            quant_resolved: quant_counters.quant_cells_resolved,
-            quant_fallbacks: quant_counters.quant_fallback_exact,
-        });
+        let locate_speedup = locate_exact_us as f64 / locate_quant_us.max(1) as f64;
+        locate_rows.push(format!(
+            "{vertices:>9} {:>8} {locate_exact_us:>12} {locate_quant_us:>12} {locate_speedup:>7.2}x \
+             {resolved:>10} {:>10}",
+            probes.len(),
+            probes.len() - resolved,
+        ));
 
         let relate_speedup = relate_brute_us as f64 / relate_indexed_us.max(1) as f64;
         let dist_speedup = dist_brute_us as f64 / dist_indexed_us.max(1) as f64;
@@ -1222,22 +1177,17 @@ fn print_kernel(max_vertices: usize, check: bool) {
             dist_pairs.len(),
             counters.distance_early_exit,
         );
-        let relate_quant_speedup = relate_indexed_us as f64 / relate_quant_us.max(1) as f64;
         rows.push(format!(
             "{{\"vertices\":{vertices},\"relate_pairs\":{},\"relate_brute_us\":{relate_brute_us},\
              \"relate_indexed_us\":{relate_indexed_us},\"relate_speedup\":{},\
-             \"relate_quant_us\":{relate_quant_us},\"relate_quant_speedup\":{},\
              \"distance_pairs\":{},\"distance_brute_us\":{dist_brute_us},\
              \"distance_indexed_us\":{dist_indexed_us},\"distance_speedup\":{},\
              \"distance_early_exit\":{},\"segtree_nodes_visited\":{},\"pairs_exact\":{},\
-             \"locate_probes\":{},\"locate_scalar_us\":{locate_scalar_us},\
-             \"locate_simd_us\":{locate_simd_us},\"locate_speedup\":{},\
-             \"simd_lanes_tested\":{},\"simd_fallback_exact\":{},\
-             \"locate_quant_us\":{locate_quant_us},\"quant_speedup\":{},\
-             \"quant_lanes_tested\":{},\"quant_cells_resolved\":{},\"quant_fallback_exact\":{}}}",
+             \"locate_probes\":{},\"locate_exact_us\":{locate_exact_us},\
+             \"locate_quant_us\":{locate_quant_us},\"locate_speedup\":{},\
+             \"quant_cells_resolved\":{resolved},\"quant_fallback_exact\":{}}}",
             relate_pairs.len(),
             json_f64(relate_speedup),
-            json_f64(relate_quant_speedup),
             dist_pairs.len(),
             json_f64(dist_speedup),
             counters.distance_early_exit,
@@ -1245,123 +1195,46 @@ fn print_kernel(max_vertices: usize, check: bool) {
             counters.pairs_exact,
             probes.len(),
             json_f64(locate_speedup),
-            simd_counters.simd_lanes_tested,
-            simd_counters.simd_fallback_exact,
-            json_f64(quant_speedup),
-            quant_counters.quant_lanes_tested,
-            quant_counters.quant_cells_resolved,
-            quant_counters.quant_fallback_exact,
+            probes.len() - resolved,
         ));
     }
     println!("\nall indexed outputs verified bit-identical to brute-force");
 
     println!(
-        "\npoint location — scalar segment index vs SIMD lanes vs quantized grid \
+        "\npoint location — exact segment index vs quantized grid with exact fallback \
          (identity verified per probe)"
     );
     println!(
-        "{:>9} {:>8} {:>12} {:>12} {:>8} {:>12} {:>8} {:>10} {:>10}",
-        "vertices",
-        "probes",
-        "scalar µs",
-        "simd µs",
-        "speedup",
-        "quant µs",
-        "vs simd",
-        "resolved",
-        "fallbacks"
+        "{:>9} {:>8} {:>12} {:>12} {:>8} {:>10} {:>10}",
+        "vertices", "probes", "exact µs", "quant µs", "speedup", "resolved", "fallbacks"
     );
     for row in &locate_rows {
-        println!(
-            "{:>9} {:>8} {:>12} {:>12} {:>7.2}x {:>12} {:>7.2}x {:>10} {:>10}",
-            row.vertices,
-            row.probes,
-            row.scalar_us,
-            row.simd_us,
-            row.simd_speedup,
-            row.quant_us,
-            row.quant_speedup,
-            row.quant_resolved,
-            row.quant_fallbacks,
-        );
+        println!("{row}");
     }
 
     // Lattice fallback workload: integer-vertex polygons probed at cell
-    // centres and at their own vertices. Cell centres land far from every
-    // snapped edge (certain), the vertices are on the boundary (ambiguous),
-    // so this measures how rarely the quant layer has to fall back when the
-    // data is grid-friendly.
+    // centres. Cell centres land far from every snapped edge, so this
+    // measures how rarely the quantized ring has to decline when the data
+    // is grid-friendly.
     let mut rng = geopattern_testkit::Rng::seed_from_u64(7);
-    let lattice: Vec<SoaRing> = (0..12)
-        .map(|_| {
-            let poly = geopattern_datagen::lattice_polygon(&mut rng, 12);
-            SoaRing::build(poly.exterior())
-        })
-        .collect();
-    set_quant_enabled(true);
-    let _ = take_kernel_counters();
     let mut lattice_probes = 0usize;
-    for soa in &lattice {
-        let env = soa.index().envelope();
-        let (w, h) = (env.max.x - env.min.x, env.max.y - env.min.y);
-        const G: usize = 16;
-        for k in 0..G * G {
-            let (gx, gy) = (k % G, k / G);
-            let p = geopattern_geom::coord(
-                env.min.x + (gx as f64 + 0.5) / G as f64 * w,
-                env.min.y + (gy as f64 + 0.5) / G as f64 * h,
-            );
-            assert_eq!(soa.locate(p), soa.index().locate(p), "lattice locate diverged at {p:?}");
+    let mut lattice_fallbacks = 0usize;
+    for _ in 0..12 {
+        let poly = geopattern_datagen::lattice_polygon(&mut rng, 12);
+        let (q, exact) = (QuantRing::build(poly.exterior()), RingIndex::build(poly.exterior()));
+        for p in probe_grid(poly.exterior(), PROBE_GRID) {
+            let (loc, certain) = locate(&q, &exact, p);
+            assert_eq!(loc, exact.locate(p), "lattice locate diverged at {p:?}");
             lattice_probes += 1;
+            lattice_fallbacks += usize::from(!certain);
         }
     }
-    let lattice_counters = take_kernel_counters();
-    set_quant_enabled(false);
-    let lattice_fallback_frac =
-        lattice_counters.quant_fallback_exact as f64 / lattice_probes.max(1) as f64;
+    let lattice_fallback_frac = lattice_fallbacks as f64 / lattice_probes.max(1) as f64;
     println!(
         "\nlattice workload: {lattice_probes} probes, {} resolved on the grid, \
-         {} exact fallbacks ({:.2}% of probes)",
-        lattice_counters.quant_cells_resolved,
-        lattice_counters.quant_fallback_exact,
+         {lattice_fallbacks} exact fallbacks ({:.2}% of probes)",
+        lattice_probes - lattice_fallbacks,
         100.0 * lattice_fallback_frac,
-    );
-
-    // End-to-end bit-identity: a real extraction (topological + bounded
-    // distance) must emit the same predicate table, rows and stats with
-    // every (SIMD, quant) toggle combination, at every thread count.
-    let ds = generate_city(&CityConfig { grid: 8, ..Default::default() });
-    let cell = CityConfig::default().cell;
-    let config = ExtractionConfig::topological_only().with_distance(
-        DistanceScheme::new(vec![("veryCloseTo", 0.6 * cell), ("closeTo", 1.5 * cell)])
-            .expect("bounded scheme"),
-    );
-    let refs = ds.relevant_refs();
-    let mut baseline = None;
-    for (simd, quant) in [(false, false), (true, false), (false, true), (true, true)] {
-        set_simd_enabled(simd);
-        set_quant_enabled(quant);
-        for n in [1usize, 2, 8] {
-            let t = if n == 1 { Threads::Serial } else { Threads::Fixed(n) };
-            let (table, stats) = extract_predicates(&ds.reference, &refs, &config.clone().with_threads(t))
-                .expect("uncontrolled extraction");
-            match &baseline {
-                None => baseline = Some((table, stats)),
-                Some((bt, bs)) => {
-                    assert_eq!(table.predicates(), bt.predicates(), "simd={simd} quant={quant} {n} thr");
-                    assert_eq!(table.rows(), bt.rows(), "simd={simd} quant={quant} {n} thr rows differ");
-                    assert_eq!(&stats, bs, "simd={simd} quant={quant} {n} thr stats differ");
-                }
-            }
-        }
-    }
-    set_simd_enabled(true);
-    set_quant_enabled(true);
-    let (bt, _) = baseline.expect("twelve extraction runs");
-    println!(
-        "\nextraction bit-identity: {} rows × {} predicates identical with SIMD×quant off/on at 1/2/8 threads",
-        bt.num_rows(),
-        bt.predicates().len()
     );
 
     let mut doc = JsonBuf::new();
@@ -1378,29 +1251,13 @@ fn print_kernel(max_vertices: usize, check: bool) {
     doc.raw(&lattice_probes.to_string());
     doc.raw(",");
     doc.key("lattice_quant_fallback");
-    doc.raw(&lattice_counters.quant_fallback_exact.to_string());
+    doc.raw(&lattice_fallbacks.to_string());
     doc.raw(",");
     doc.key("series");
     doc.raw(&format!("[{}]}}", rows.join(",")));
     write_bench("kernel", &doc.into_string());
 
     if check {
-        let row = locate_rows.last().expect("at least one layer measured");
-        let (vertices, speedup, quant_speedup) = (row.vertices, row.simd_speedup, row.quant_speedup);
-        if speedup < 1.5 {
-            eprintln!(
-                "\nCHECK FAILED: SIMD point location {speedup:.2}x on the {vertices}-vertex \
-                 layer (need ≥ 1.5x over the scalar index)"
-            );
-            std::process::exit(1);
-        }
-        if quant_speedup < 1.3 {
-            eprintln!(
-                "\nCHECK FAILED: quantized point location {quant_speedup:.2}x on the \
-                 {vertices}-vertex layer (need ≥ 1.3x over the f64 SIMD path)"
-            );
-            std::process::exit(1);
-        }
         if lattice_fallback_frac >= 0.05 {
             eprintln!(
                 "\nCHECK FAILED: quant_fallback_exact is {:.2}% of lattice probes \
@@ -1410,9 +1267,7 @@ fn print_kernel(max_vertices: usize, check: bool) {
             std::process::exit(1);
         }
         println!(
-            "\ncheck passed: SIMD locate {speedup:.2}x ≥ 1.5x, quant locate {quant_speedup:.2}x \
-             ≥ 1.3x on the {vertices}-vertex layer; lattice fallbacks {:.2}% < 5%; \
-             extraction bit-identical across all toggles",
+            "\ncheck passed: lattice fallbacks {:.2}% < 5%",
             100.0 * lattice_fallback_frac
         );
     }

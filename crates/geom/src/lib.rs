@@ -48,7 +48,6 @@ pub mod relate;
 pub mod robust;
 pub mod segment;
 pub mod segtree;
-pub mod simd;
 pub mod tile;
 pub mod transform;
 pub mod wkt;
@@ -65,12 +64,11 @@ pub use linestring::{LineString, MultiLineString};
 pub use point::{MultiPoint, Point};
 pub use polygon::{MultiPolygon, PointLocation, Polygon, Ring};
 pub use prepared::PreparedGeometry;
-pub use quant::{quant_enabled, set_quant_enabled, QuantRing, Quantizer};
+pub use quant::{QuantRing, Quantizer};
 pub use relate::{intersects, relate, Dim, IntersectionMatrix, Part};
 pub use robust::{orient2d, orientation, Orientation};
 pub use segment::{SegSegIntersection, Segment};
 pub use segtree::{take_kernel_counters, KernelCounters, RingIndex, SegTree};
-pub use simd::{set_simd_enabled, simd_enabled, SoaRing};
 pub use tile::TileGrid;
 pub use transform::AffineTransform;
 pub use wkt::{from_wkt, to_wkt};

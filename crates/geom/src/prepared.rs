@@ -132,8 +132,7 @@ fn min_distance_within(a: &PreparedShape, b: &PreparedShape, bound: f64) -> f64 
         }
         (PS::P { coords }, PS::A(pa)) | (PS::A(pa), PS::P { coords }) => {
             // A point inside (or on) the region is at distance exactly 0,
-            // matching the unbounded kernel's containment case. The batch
-            // sweep answers the same boolean as the scalar `any`.
+            // matching the unbounded kernel's containment case.
             if pa.any_not_outside(coords) {
                 return 0.0;
             }

@@ -1,13 +1,13 @@
-//! Quantized integer fast path under the prepared-geometry layer.
+//! Quantized integer point location under the prepared-geometry layer.
 //!
-//! The SIMD kernels of [`crate::simd`] still pay two `f64` costs per
-//! lane: a division in the Franklin crossing test and a Shewchuk
-//! error-bound filter for boundary detection. This module removes both
-//! by snapping coordinates onto an `i32` grid sized from the geometry's
-//! bounding box ([`Quantizer`]) and evaluating the crossing and
-//! proximity predicates in widened `i64`/`i128` integer arithmetic —
-//! *exact on the grid*, with no rounding and no epsilon bands. Lanes are
-//! also denser: eight `i32`s fill a 256-bit block where four `f64`s did.
+//! Point-in-ring tests are the inner loop of every areal relate and
+//! bounded-distance call. This module answers most of them without
+//! floating-point division or error-bound filters: it snaps coordinates
+//! onto an `i32` grid sized from the geometry's bounding box
+//! ([`Quantizer`]) and evaluates the crossing and proximity predicates in
+//! widened `i64`/`i128` integer arithmetic — *exact on the grid*, with no
+//! rounding and no epsilon bands. Eight `i32`s fill a 256-bit block, so
+//! the hot scan is a dense run of integer compares.
 //!
 //! # The certain/ambiguous classification invariant
 //!
@@ -36,22 +36,19 @@
 //! * **Ambiguity.** Any query whose cell lies within [`BAND`] cells of
 //!   some quantized edge — in particular every true boundary point,
 //!   whose quantized image sits within `2/√2 ≈ 1.42` cells of the
-//!   quantized boundary — is ambiguous and falls back to the exact `f64`
-//!   path ([`crate::segtree::RingIndex`]), counted under
-//!   `geom/quant_fallback_exact`. Certain answers are counted under
-//!   `geom/quant_cells_resolved`.
+//!   quantized boundary — is ambiguous, and the caller answers it with
+//!   the exact `f64` index ([`crate::segtree::RingIndex`]). Prepared
+//!   geometries count the two outcomes under `geom/quant_cells_resolved`
+//!   and `geom/quant_fallback_exact`.
 //!
-//! Together these give the same contract as the SIMD layer: every
-//! observable output is **bit-identical** to the scalar path, and the
-//! runtime toggle (`GEOPATTERN_QUANT=0`, or [`set_quant_enabled`])
-//! trades speed, never answers.
+//! Together these make every observable output — DE-9IM matrices,
+//! extraction predicates, bounded distances — **bit-identical** to the
+//! exact scalar path: the grid only decides which queries the exact
+//! index has to answer.
 
 use crate::bbox::Rect;
 use crate::coord::Coord;
 use crate::polygon::{PointLocation, Ring};
-use crate::segtree::note_quant_lanes;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 
 /// Lane width of the quantized kernels: eight `i32`s per 256-bit block.
 pub const QLANES: usize = 8;
@@ -72,46 +69,18 @@ pub const SPAN: i32 = 1 << GRID_BITS;
 /// noise in computing the query's cell.
 pub const BAND: i64 = 2;
 
-static QUANT_ENABLED: OnceLock<AtomicBool> = OnceLock::new();
-
-fn state() -> &'static AtomicBool {
-    QUANT_ENABLED.get_or_init(|| {
-        let on = std::env::var("GEOPATTERN_QUANT").map(|v| v != "0").unwrap_or(true);
-        AtomicBool::new(on)
-    })
-}
-
-/// True when the quantized integer fast paths are active (the default;
-/// `GEOPATTERN_QUANT=0` in the environment starts the process disabled).
-pub fn quant_enabled() -> bool {
-    state().load(Ordering::Relaxed)
-}
-
-/// Enables or disables the quantized fast paths process-wide.
-///
-/// Safe to flip at any time: both paths produce bit-identical results,
-/// so the setting affects wall-clock and the `geom/quant_*` counters
-/// only. Exposed for A/B benchmarks (`experiments kernel`).
-pub fn set_quant_enabled(on: bool) {
-    state().store(on, Ordering::Relaxed);
-}
-
 /// Affine map from `f64` coordinates onto an `i32` cell grid.
 ///
 /// `quantize` rounds to the nearest grid point, so the displacement is
-/// at most half a cell per axis. The map is shared between the in-memory
-/// fast path and the `.gpb` v2 quantized column: both sides snap the
-/// same `f64` input to the same grid point.
+/// at most half a cell per axis.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quantizer {
     x0: f64,
     y0: f64,
     cell: f64,
     /// `1.0 / cell`, precomputed so `quantize` multiplies instead of
-    /// divides. Always derived from `cell` the same way (including on
-    /// the `.gpb` reconstruction path), so both sides of a round-trip
-    /// snap identically; the ≤ 1-ulp difference against true division
-    /// is covered by [`BAND`]'s slack.
+    /// divides; the ≤ 1-ulp difference against true division is covered
+    /// by [`BAND`]'s slack.
     inv_cell: f64,
 }
 
@@ -130,9 +99,10 @@ impl Quantizer {
         Quantizer { x0: r.min.x, y0: r.min.y, cell, inv_cell: 1.0 / cell }
     }
 
-    /// Reassembles a quantizer from stored header fields (the `.gpb` v2
-    /// path). `None` when the header is malformed: non-finite origin or
-    /// a cell that is not strictly positive and finite.
+    /// Reassembles a quantizer from stored header fields (the `.gpb`
+    /// reader validates version-2 quantizer headers with it). `None` when
+    /// the header is malformed: non-finite origin or a cell that is not
+    /// strictly positive and finite.
     pub fn from_parts(x0: f64, y0: f64, cell: f64) -> Option<Quantizer> {
         if x0.is_finite() && y0.is_finite() && cell.is_finite() && cell > 0.0 {
             Some(Quantizer { x0, y0, cell, inv_cell: 1.0 / cell })
@@ -166,10 +136,12 @@ impl Quantizer {
 }
 
 /// A ring quantized onto an `i32` grid, in stripe-bucketed, padded
-/// struct-of-arrays form — the integer sibling of [`crate::simd::SoaRing`].
+/// struct-of-arrays form.
 ///
-/// Stripes bucket edges by quantized y-interval *expanded by [`BAND`]
-/// cells on each side*, so a query's stripe is guaranteed to contain
+/// The ring's quantized y-extent is divided into uniform horizontal
+/// stripes, and a query scans only its own stripe's edges. Stripes
+/// bucket edges by quantized y-interval *expanded by [`BAND`] cells on
+/// each side*, so a query's stripe is guaranteed to contain
 /// both every edge that can toggle its crossing parity and every edge
 /// whose snap band can reach it. Arrays are padded to a multiple of
 /// [`QLANES`] with degenerate sentinel edges (`a == b ==` vertex 0),
@@ -215,23 +187,9 @@ impl QuantRing {
         let quantized: Option<Vec<(i32, i32)>> =
             ring.coords().iter().map(|&c| qz.quantize(c)).collect();
         match quantized {
-            Some(q) => QuantRing::from_grid_points(qz, envelope, &q),
+            Some(q) => QuantRing::from_vertices(qz, envelope, &q),
             None => QuantRing::degenerate(qz, envelope),
         }
-    }
-
-    /// Builds a quantized ring directly from pre-quantized grid
-    /// vertices — the `.gpb` v2 windowed-fetch path, which never
-    /// materializes `f64` coordinates. `envelope` must be the exact
-    /// `f64` envelope of the original ring (it gates the same
-    /// fast-reject as [`Ring::locate`]), and the grid points must be
-    /// `qz.quantize` images of the original vertices.
-    pub fn from_grid(qz: Quantizer, envelope: Rect, coords: &[(i32, i32)]) -> QuantRing {
-        if coords.iter().any(|&(x, y)| x.unsigned_abs() > SPAN as u32 || y.unsigned_abs() > SPAN as u32)
-        {
-            return QuantRing::degenerate(qz, envelope);
-        }
-        QuantRing::from_grid_points(qz, envelope, coords)
     }
 
     fn degenerate(qz: Quantizer, envelope: Rect) -> QuantRing {
@@ -255,7 +213,7 @@ impl QuantRing {
         }
     }
 
-    fn from_grid_points(qz: Quantizer, envelope: Rect, q: &[(i32, i32)]) -> QuantRing {
+    fn from_vertices(qz: Quantizer, envelope: Rect, q: &[(i32, i32)]) -> QuantRing {
         if q.is_empty() {
             return QuantRing::degenerate(qz, envelope);
         }
@@ -275,9 +233,9 @@ impl QuantRing {
         let qy0 = qymin - BAND - 1;
         let height = (qymax + BAND + 1) - qy0 + 1;
 
-        // Same coarsening heuristic as SoaRing::build: start near one
-        // stripe per few edges, halve until the duplicated footprint is
-        // modest.
+        // Start near one stripe per few edges and halve until the
+        // duplicated-edge footprint is modest; tall-edge rings degrade
+        // gracefully toward a single stripe rather than exploding memory.
         let mut stripes = (len / 4).clamp(1, 256);
         let mut counts;
         let mut stripe_h;
@@ -378,9 +336,8 @@ impl QuantRing {
     ///
     /// A `Some` answer equals [`Ring::locate`]'s by the module-level
     /// homotopy argument; the integer arithmetic itself is exact, so
-    /// unlike the `f64` SIMD path there is no error-bound filter — the
-    /// only approximation is the grid snap, and the band test accounts
-    /// for it.
+    /// there is no error-bound filter — the only approximation is the
+    /// grid snap, and the band test accounts for it.
     pub fn try_locate(&self, p: Coord) -> Option<PointLocation> {
         if !self.envelope.contains_point(p) {
             return Some(PointLocation::Outside);
@@ -394,8 +351,6 @@ impl QuantRing {
         let (lo, hi) = (self.starts[s] as usize, self.starts[s + 1] as usize);
 
         let mut crossings = 0u32;
-        let mut lanes = 0u64;
-        let mut ambiguous = false;
         // Pass 1 is pure i32 compares against the precomputed envelopes —
         // eight lanes per 256-bit block, no multiplies. A query strictly
         // left of a y-straddling edge's band envelope toggles parity
@@ -412,7 +367,7 @@ impl QuantRing {
             .zip(self.exmax[lo..hi].chunks_exact(QLANES))
             .zip(self.eymin[lo..hi].chunks_exact(QLANES))
             .zip(self.eymax[lo..hi].chunks_exact(QLANES));
-        'scan: for (block, (((((ays, bys), exmins), exmaxs), eymins), eymaxs)) in
+        for (block, (((((ays, bys), exmins), exmaxs), eymins), eymaxs)) in
             chunks.enumerate()
         {
             let mut simple = [0u32; QLANES];
@@ -428,7 +383,6 @@ impl QuantRing {
                 near[l] = inx & iny;
             }
             crossings += simple.iter().sum::<u32>();
-            lanes += QLANES as u64;
             if exact.iter().any(|&e| e) || near.iter().any(|&n| n) {
                 let base = lo + block * QLANES;
                 for l in 0..QLANES {
@@ -443,8 +397,7 @@ impl QuantRing {
                         self.by[i] as i64,
                     );
                     if near[l] && within_band(px as i64, py as i64, ax, ay, bx, by) {
-                        ambiguous = true;
-                        break 'scan;
+                        return None;
                     }
                     if exact[l] {
                         // Integer Franklin crossing test: the f64 form
@@ -460,10 +413,6 @@ impl QuantRing {
                     }
                 }
             }
-        }
-        note_quant_lanes(lanes);
-        if ambiguous {
-            return None;
         }
         Some(if crossings % 2 == 1 { PointLocation::Inside } else { PointLocation::Outside })
     }
@@ -496,8 +445,6 @@ fn within_band(px: i64, py: i64, ax: i64, ay: i64, bx: i64, by: i64) -> bool {
 mod tests {
     use super::*;
     use crate::coord::coord;
-    use crate::segtree::take_kernel_counters;
-    use crate::simd::test_toggle_lock;
 
     fn ring(pts: &[(f64, f64)]) -> Ring {
         Ring::from_xy(pts).unwrap()
@@ -572,50 +519,11 @@ mod tests {
     }
 
     #[test]
-    fn toggle_reads_environment_once_and_flips() {
-        let _guard = test_toggle_lock();
-        let was = quant_enabled();
-        set_quant_enabled(false);
-        assert!(!quant_enabled());
-        set_quant_enabled(true);
-        assert!(quant_enabled());
-        set_quant_enabled(was);
-    }
-
-    #[test]
-    fn lanes_counter_records_integer_scan() {
-        let _guard = test_toggle_lock();
-        let r = ring(&[(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)]);
-        let q = QuantRing::build(&r);
-        let _ = take_kernel_counters();
-        assert_eq!(q.try_locate(coord(5.0, 5.0)), Some(PointLocation::Inside));
-        let c = take_kernel_counters();
-        assert!(c.quant_lanes_tested > 0, "interior probe must scan integer lanes");
-    }
-
-    #[test]
-    fn from_grid_matches_build() {
-        let r = ring(&[(0.0, 0.0), (7.0, 1.0), (3.0, 8.0)]);
-        let envelope = r.envelope();
-        let qz = Quantizer::for_rect(&envelope);
-        let coords: Vec<(i32, i32)> =
-            r.coords().iter().map(|&c| qz.quantize(c).unwrap()).collect();
-        let built = QuantRing::build(&r);
-        let fed = QuantRing::from_grid(qz, envelope, &coords);
-        for i in 0..30 {
-            for j in 0..30 {
-                let p = coord(i as f64 * 0.3 - 0.5, j as f64 * 0.3 - 0.5);
-                assert_eq!(built.try_locate(p), fed.try_locate(p), "p={p:?}");
-            }
-        }
-    }
-
-    #[test]
     fn out_of_range_grid_points_degenerate_safely() {
-        let r = ring(&[(0.0, 0.0), (7.0, 1.0), (3.0, 8.0)]);
-        let envelope = r.envelope();
-        let qz = Quantizer::for_rect(&envelope);
-        let q = QuantRing::from_grid(qz, envelope, &[(0, 0), (i32::MAX, 3), (5, 5)]);
+        // The envelope's extent overflows to infinity, so the quantizer
+        // falls back to a unit cell and the far vertices refuse to snap.
+        let r = ring(&[(-1e308, 0.0), (1e308, 0.0), (0.0, 1e308)]);
+        let q = QuantRing::build(&r);
         assert!(q.is_empty());
         // In-envelope queries are ambiguous (fall back), outside stays
         // certain via the f64 envelope.

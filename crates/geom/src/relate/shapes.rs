@@ -20,10 +20,10 @@
 use crate::bbox::Rect;
 use crate::coord::Coord;
 use crate::geometry::Geometry;
-use crate::polygon::{MultiPolygon, PointLocation, Polygon};
+use crate::polygon::{MultiPolygon, PointLocation, Polygon, Ring};
 use crate::segment::{merge_intervals, SegSegIntersection, Segment};
-use crate::segtree::SegTree;
-use crate::simd::SoaRing;
+use crate::quant::QuantRing;
+use crate::segtree::{note_quant_fallback, note_quant_resolved, RingIndex, SegTree};
 use std::borrow::Cow;
 
 /// Relative tolerance for parameter-space bookkeeping (splitting segments
@@ -222,13 +222,41 @@ pub struct PreparedAreal {
     pub(crate) ext_coords: Vec<Coord>,
 }
 
+/// One ring of a prepared polygon: the quantized integer ring answers
+/// every query it is certain about, the exact monotone-edge index the
+/// rest. Both agree with [`crate::polygon::Ring::locate`], so the pair
+/// does too.
+#[derive(Debug, Clone)]
+struct PreparedRing {
+    quant: QuantRing,
+    exact: RingIndex,
+}
+
+impl PreparedRing {
+    fn build(ring: &Ring) -> PreparedRing {
+        PreparedRing { quant: QuantRing::build(ring), exact: RingIndex::build(ring) }
+    }
+
+    /// Classifies `c`, counting the query under `geom/quant_cells_resolved`
+    /// or `geom/quant_fallback_exact`.
+    fn locate(&self, c: Coord) -> PointLocation {
+        match self.quant.try_locate(c) {
+            Some(loc) => {
+                note_quant_resolved(1);
+                loc
+            }
+            None => {
+                note_quant_fallback(1);
+                self.exact.locate(c)
+            }
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct PreparedPoly {
-    /// Exterior ring: SoA SIMD mirror wrapping the exact monotone-edge
-    /// index ([`SoaRing::locate`] is bit-identical to the scalar index
-    /// in every mode).
-    exterior: SoaRing,
-    holes: Vec<SoaRing>,
+    exterior: PreparedRing,
+    holes: Vec<PreparedRing>,
 }
 
 impl PreparedPoly {
@@ -266,8 +294,8 @@ impl PreparedAreal {
         let polys = members
             .iter()
             .map(|p| PreparedPoly {
-                exterior: SoaRing::build(p.exterior()),
-                holes: p.holes().iter().map(SoaRing::build).collect(),
+                exterior: PreparedRing::build(p.exterior()),
+                holes: p.holes().iter().map(PreparedRing::build).collect(),
             })
             .collect();
         let boundary = view.boundary_segments();
@@ -304,44 +332,17 @@ impl PreparedAreal {
         }
     }
 
-    /// Classifies many query points in one call. For the common
-    /// single-polygon, hole-free region the whole batch runs through the
-    /// exterior ring's SIMD kernel ([`SoaRing::locate_batch`]); otherwise
-    /// each point takes the per-ring path. Equivalent to mapping
-    /// [`PreparedAreal::locate`] over `points` in either case.
-    pub fn locate_batch(&self, points: &[Coord]) -> Vec<PointLocation> {
-        if let [poly] = self.polys.as_slice() {
-            if poly.holes.is_empty() {
-                return poly.exterior.locate_batch(points);
-            }
-        }
-        points.iter().map(|&c| self.locate(c)).collect()
-    }
-
     /// True when any coordinate lies inside or on the region — the
-    /// containment sweep of the bounded-distance kernel. Runs the batch
-    /// point-location kernel block-wise so a hit early in a long
-    /// coordinate list still short-circuits, exactly like the scalar
-    /// `any` it replaces.
+    /// containment sweep of the bounded-distance kernel.
     pub fn any_not_outside(&self, coords: &[Coord]) -> bool {
-        const BLOCK: usize = 16;
-        coords.chunks(BLOCK).any(|block| {
-            self.locate_batch(block).iter().any(|&l| l != PointLocation::Outside)
-        })
+        coords.iter().any(|&c| self.locate(c) != PointLocation::Outside)
     }
 
     /// [`PreparedAreal::any_not_outside`] over segment endpoints, in the
-    /// scalar sweep's visit order (`a` then `b`, segment by segment).
+    /// order `a` then `b`, segment by segment.
     pub fn any_endpoint_not_outside(&self, segments: &[Segment]) -> bool {
-        const BLOCK: usize = 8;
-        let mut buf: Vec<Coord> = Vec::with_capacity(2 * BLOCK);
-        segments.chunks(BLOCK).any(|block| {
-            buf.clear();
-            for s in block {
-                buf.push(s.a);
-                buf.push(s.b);
-            }
-            self.locate_batch(&buf).iter().any(|&l| l != PointLocation::Outside)
+        segments.iter().any(|s| {
+            self.locate(s.a) != PointLocation::Outside || self.locate(s.b) != PointLocation::Outside
         })
     }
 }

@@ -96,8 +96,15 @@ impl Segment {
     }
 
     /// Closest point of the closed segment to `p`.
+    ///
+    /// The interpolation can round an ulp past an endpoint; the result is
+    /// clamped into the segment's envelope, so the envelope distance is
+    /// always a lower bound of [`Segment::distance_to_point`] — the
+    /// property the bounded-distance pruning relies on.
     pub fn closest_point(&self, p: Coord) -> Coord {
-        self.a.lerp(self.b, self.closest_point_t(p))
+        let c = self.a.lerp(self.b, self.closest_point_t(p));
+        let e = self.envelope();
+        Coord::new(c.x.clamp(e.min.x, e.max.x), c.y.clamp(e.min.y, e.max.y))
     }
 
     /// Minimum distance from `p` to the closed segment.

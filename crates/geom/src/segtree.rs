@@ -22,7 +22,8 @@
 //!
 //! The module also hosts the thread-local kernel counters surfaced by the
 //! extraction pipeline (`geom/segtree_nodes_visited`, `geom/pairs_exact`,
-//! `geom/distance_early_exit`); see [`take_kernel_counters`].
+//! `geom/distance_early_exit`, `geom/quant_cells_resolved`,
+//! `geom/quant_fallback_exact`); see [`take_kernel_counters`].
 
 use crate::bbox::Rect;
 use crate::coord::Coord;
@@ -38,11 +39,8 @@ thread_local! {
     static NODES_VISITED: Cell<u64> = const { Cell::new(0) };
     static PAIRS_EXACT: Cell<u64> = const { Cell::new(0) };
     static DISTANCE_EARLY_EXIT: Cell<u64> = const { Cell::new(0) };
-    static SIMD_LANES_TESTED: Cell<u64> = const { Cell::new(0) };
-    static SIMD_FALLBACK_EXACT: Cell<u64> = const { Cell::new(0) };
     static QUANT_CELLS_RESOLVED: Cell<u64> = const { Cell::new(0) };
     static QUANT_FALLBACK_EXACT: Cell<u64> = const { Cell::new(0) };
-    static QUANT_LANES_TESTED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Snapshot of the thread-local kernel counters.
@@ -61,25 +59,20 @@ pub struct KernelCounters {
     /// Subtree (pairs) pruned by a bound or best-so-far comparison, plus
     /// envelope-level early exits in bounded-distance queries.
     pub distance_early_exit: u64,
-    /// `f64` lanes evaluated by the SIMD leaf kernels
-    /// ([`crate::simd`]): ring-crossing lanes plus vectorized envelope
-    /// lower bounds.
-    pub simd_lanes_tested: u64,
-    /// Queries the SIMD fast path handed back to the exact robust
-    /// predicates because a lane landed in the boundary epsilon band.
-    pub simd_fallback_exact: u64,
     /// Point-location queries the quantized integer fast path
     /// ([`crate::quant`]) answered with certainty (the query cell was
     /// strictly outside the snap band of every edge).
     pub quant_cells_resolved: u64,
-    /// Queries the quantized fast path handed back to the exact `f64`
-    /// path because the query cell landed within the snap band of some
-    /// edge (or could not be quantized at all).
+    /// Point-location queries the exact [`RingIndex`] answered because
+    /// the quantized fast path declined them (the query cell landed
+    /// within the snap band of some edge, or could not be quantized).
     pub quant_fallback_exact: u64,
-    /// `i32` lanes evaluated by the quantized leaf kernels: ring-crossing
-    /// lanes plus integer envelope-rejection lanes in bounded-distance
-    /// traversals.
-    pub quant_lanes_tested: u64,
+    /// Always equal to [`KernelCounters::quant_fallback_exact`]: the
+    /// queries the exact index answered after the quantized path
+    /// declined. It exists only so the pipeline benchmark's
+    /// `geom.simd_resolved_frac` metric keeps compiling (and reads 0);
+    /// it goes when a benchmark-only change drops that metric.
+    pub simd_fallback_exact: u64,
 }
 
 /// Reads **and resets** this thread's kernel counters.
@@ -88,29 +81,15 @@ pub struct KernelCounters {
 /// should call this once before the unit to discard residue and once after
 /// to collect the unit's counts.
 pub fn take_kernel_counters() -> KernelCounters {
+    let fallbacks = QUANT_FALLBACK_EXACT.with(|c| c.take());
     KernelCounters {
         segtree_nodes_visited: NODES_VISITED.with(|c| c.take()),
         pairs_exact: PAIRS_EXACT.with(|c| c.take()),
         distance_early_exit: DISTANCE_EARLY_EXIT.with(|c| c.take()),
-        simd_lanes_tested: SIMD_LANES_TESTED.with(|c| c.take()),
-        simd_fallback_exact: SIMD_FALLBACK_EXACT.with(|c| c.take()),
         quant_cells_resolved: QUANT_CELLS_RESOLVED.with(|c| c.take()),
-        quant_fallback_exact: QUANT_FALLBACK_EXACT.with(|c| c.take()),
-        quant_lanes_tested: QUANT_LANES_TESTED.with(|c| c.take()),
+        quant_fallback_exact: fallbacks,
+        simd_fallback_exact: fallbacks,
     }
-}
-
-/// Records `f64` lanes evaluated by the SIMD leaf kernels.
-#[inline]
-pub(crate) fn note_simd_lanes(n: u64) {
-    SIMD_LANES_TESTED.with(|c| c.set(c.get() + n));
-}
-
-/// Records epsilon-band fallbacks from the SIMD fast path to the exact
-/// robust predicates.
-#[inline]
-pub(crate) fn note_simd_fallback(n: u64) {
-    SIMD_FALLBACK_EXACT.with(|c| c.set(c.get() + n));
 }
 
 /// Records point-location queries the quantized integer fast path
@@ -125,12 +104,6 @@ pub(crate) fn note_quant_resolved(n: u64) {
 #[inline]
 pub(crate) fn note_quant_fallback(n: u64) {
     QUANT_FALLBACK_EXACT.with(|c| c.set(c.get() + n));
-}
-
-/// Records `i32` lanes evaluated by the quantized leaf kernels.
-#[inline]
-pub(crate) fn note_quant_lanes(n: u64) {
-    QUANT_LANES_TESTED.with(|c| c.set(c.get() + n));
 }
 
 #[inline]
@@ -188,16 +161,6 @@ pub struct SegTree {
     entries: Vec<(Rect, u32)>,
     /// Arena of nodes, packed level by level, root last.
     nodes: Vec<Node>,
-    /// Entry envelopes mirrored in struct-of-arrays form for the SIMD
-    /// leaf lower bounds, padded to a multiple of [`crate::simd::LANES`]
-    /// with [`Rect::EMPTY`] components (`+∞`/`−∞`, never consulted by the
-    /// decision loop). Leaves cover entry runs starting at multiples of
-    /// [`NODE_CAPACITY`], itself a lane-width multiple, so every leaf's
-    /// run is chunk-aligned.
-    env_minx: Vec<f64>,
-    env_miny: Vec<f64>,
-    env_maxx: Vec<f64>,
-    env_maxy: Vec<f64>,
     /// Entry envelopes snapped outward onto the tree-wide integer grid
     /// ([`crate::quant`]) for the bounded-distance prescreen; `None` when
     /// the tree is empty or its envelope cannot be quantized.
@@ -298,7 +261,6 @@ impl QuantEnv {
     /// envelope gap to the probe point certainly exceeding the limit —
     /// the whole leaf can be rejected without touching `f64` bounds.
     fn leaf_all_beyond_point(&self, first: usize, count: usize, px: i64, py: i64, limit2: i128) -> bool {
-        note_quant_lanes(count as u64);
         for j in first..first + count {
             let gx = (self.minx[j] as i64 - px).max(px - self.maxx[j] as i64).max(0);
             let gy = (self.miny[j] as i64 - py).max(py - self.maxy[j] as i64).max(0);
@@ -318,7 +280,6 @@ impl QuantEnv {
         q: (i64, i64, i64, i64),
         limit2: i128,
     ) -> bool {
-        note_quant_lanes(count as u64);
         let (qminx, qminy, qmaxx, qmaxy) = q;
         for j in first..first + count {
             let gx = (self.minx[j] as i64 - qmaxx).max(qminx - self.maxx[j] as i64).max(0);
@@ -347,7 +308,7 @@ impl SegTree {
         let mut nodes: Vec<Node> = Vec::new();
         let n = entries.len();
         if n == 0 {
-            return SegTree::with_env_soa(entries, nodes);
+            return SegTree { entries, nodes, qenv: None };
         }
 
         let num_leaves = n.div_ceil(NODE_CAPACITY);
@@ -386,72 +347,8 @@ impl SegTree {
             level_start = level_end;
             level_len = nodes.len() - level_start;
         }
-        SegTree::with_env_soa(entries, nodes)
-    }
-
-    /// Finishes construction by mirroring the entry envelopes into the
-    /// padded SoA arrays the SIMD lower-bound kernels scan.
-    fn with_env_soa(entries: Vec<(Rect, u32)>, nodes: Vec<Node>) -> SegTree {
-        let padded = entries.len().div_ceil(crate::simd::LANES) * crate::simd::LANES;
-        let mut env_minx = vec![f64::INFINITY; padded];
-        let mut env_miny = vec![f64::INFINITY; padded];
-        let mut env_maxx = vec![f64::NEG_INFINITY; padded];
-        let mut env_maxy = vec![f64::NEG_INFINITY; padded];
-        for (i, (r, _)) in entries.iter().enumerate() {
-            env_minx[i] = r.min.x;
-            env_miny[i] = r.min.y;
-            env_maxx[i] = r.max.x;
-            env_maxy[i] = r.max.y;
-        }
         let qenv = QuantEnv::build(&entries, &nodes);
-        SegTree { entries, nodes, env_minx, env_miny, env_maxx, env_maxy, qenv }
-    }
-
-    /// Envelope distance lower bounds for one leaf's entries, evaluated
-    /// lane-parallel over the SoA mirror. `out[j]` replicates
-    /// `entries[first + j].0.distance_to_point(p)` operation for
-    /// operation (the `is_empty` branch is dead for real entries — a
-    /// segment envelope is never empty), so the decision loop consuming
-    /// the values prunes exactly as the scalar computation would.
-    #[inline]
-    fn leaf_point_lbs(&self, first: usize, count: usize, p: Coord) -> [f64; NODE_CAPACITY] {
-        let padded = count.div_ceil(crate::simd::LANES) * crate::simd::LANES;
-        let (minx, miny) = (&self.env_minx[first..first + padded], &self.env_miny[first..first + padded]);
-        let (maxx, maxy) = (&self.env_maxx[first..first + padded], &self.env_maxy[first..first + padded]);
-        let mut dx = [0.0f64; NODE_CAPACITY];
-        let mut dy = [0.0f64; NODE_CAPACITY];
-        for j in 0..padded {
-            dx[j] = (minx[j] - p.x).max(0.0).max(p.x - maxx[j]);
-            dy[j] = (miny[j] - p.y).max(0.0).max(p.y - maxy[j]);
-        }
-        let mut out = [f64::INFINITY; NODE_CAPACITY];
-        for j in 0..count {
-            out[j] = dx[j].hypot(dy[j]);
-        }
-        note_simd_lanes(padded as u64);
-        out
-    }
-
-    /// Envelope distance lower bounds from a fixed rectangle `r` to one
-    /// leaf's entries; `out[j]` replicates
-    /// `r.distance_to_rect(&entries[first + j].0)` bit for bit.
-    #[inline]
-    fn leaf_rect_lbs(&self, first: usize, count: usize, r: &Rect) -> [f64; NODE_CAPACITY] {
-        let padded = count.div_ceil(crate::simd::LANES) * crate::simd::LANES;
-        let (minx, miny) = (&self.env_minx[first..first + padded], &self.env_miny[first..first + padded]);
-        let (maxx, maxy) = (&self.env_maxx[first..first + padded], &self.env_maxy[first..first + padded]);
-        let mut dx = [0.0f64; NODE_CAPACITY];
-        let mut dy = [0.0f64; NODE_CAPACITY];
-        for j in 0..padded {
-            dx[j] = (r.min.x - maxx[j]).max(0.0).max(minx[j] - r.max.x);
-            dy[j] = (r.min.y - maxy[j]).max(0.0).max(miny[j] - r.max.y);
-        }
-        let mut out = [f64::INFINITY; NODE_CAPACITY];
-        for j in 0..count {
-            out[j] = dx[j].hypot(dy[j]);
-        }
-        note_simd_lanes(padded as u64);
-        out
+        SegTree { entries, nodes, qenv }
     }
 
     /// Number of indexed segments.
@@ -523,11 +420,7 @@ impl SegTree {
         // would have pruned each entry individually (the integer gap is a
         // conservative lower bound with margin), so skipping the leaf
         // changes no answer and keeps `distance_early_exit` identical.
-        let qpoint = if crate::quant::quant_enabled() {
-            self.qenv.as_ref().and_then(|qe| qe.point_query(p, limit))
-        } else {
-            None
-        };
+        let qpoint = self.qenv.as_ref().and_then(|qe| qe.point_query(p, limit));
         let mut stack: Vec<usize> = vec![root];
         'search: while let Some(ni) = stack.pop() {
             visited += 1;
@@ -546,15 +439,8 @@ impl SegTree {
                         continue;
                     }
                 }
-                // Lane-parallel envelope lower bounds; the decision loop
-                // below consumes the same values the scalar computation
-                // yields, so pruning is bit-identical either way.
-                let lbs = crate::simd::simd_enabled().then(|| self.leaf_point_lbs(first, count, p));
-                for (off, e) in self.entries[first..first + count].iter().enumerate() {
-                    let elb = match &lbs {
-                        Some(lbs) => lbs[off],
-                        None => e.0.distance_to_point(p),
-                    };
+                for e in &self.entries[first..first + count] {
+                    let elb = e.0.distance_to_point(p);
                     if exceeds(elb, limit) || elb >= best {
                         pruned += 1;
                         continue;
@@ -610,11 +496,7 @@ impl SegTree {
         let mut pruned = 0u64;
         // Quantized whole-leaf rejection against `other`'s grid: same
         // conservative contract as in point_distance_within.
-        let qlimit = if crate::quant::quant_enabled() {
-            other.qenv.as_ref().and_then(|qe| qe.limit_cells(limit))
-        } else {
-            None
-        };
+        let qlimit = other.qenv.as_ref().and_then(|qe| qe.limit_cells(limit));
         let mut stack: Vec<(usize, usize)> = vec![(ra, rb)];
         'search: while let Some((ia, ib)) = stack.pop() {
             visited += 1;
@@ -629,7 +511,6 @@ impl SegTree {
                 (true, true) => {
                     let ea = &self.entries[na.first as usize..(na.first + na.count) as usize];
                     let eb = &other.entries[nb.first as usize..(nb.first + nb.count) as usize];
-                    let simd = crate::simd::simd_enabled();
                     for a in ea {
                         if let (Some(lc), Some(qe)) = (qlimit, other.qenv.as_ref()) {
                             if let Some(qr) = qe.snap_rect(&a.0) {
@@ -644,13 +525,8 @@ impl SegTree {
                                 }
                             }
                         }
-                        let lbs = simd
-                            .then(|| other.leaf_rect_lbs(nb.first as usize, nb.count as usize, &a.0));
-                        for (off, b) in eb.iter().enumerate() {
-                            let elb = match &lbs {
-                                Some(lbs) => lbs[off],
-                                None => a.0.distance_to_rect(&b.0),
-                            };
+                        for b in eb {
+                            let elb = a.0.distance_to_rect(&b.0);
                             if exceeds(elb, limit) || elb >= best {
                                 pruned += 1;
                                 continue;
@@ -750,12 +626,6 @@ impl RingIndex {
     /// True when the index holds no edges (never for a valid ring).
     pub fn is_empty(&self) -> bool {
         self.edges.is_empty()
-    }
-
-    /// The indexed edges, ascending by `envelope().min.y` — the order the
-    /// SIMD struct-of-arrays mirror ([`crate::simd::SoaRing`]) shares.
-    pub(crate) fn edges(&self) -> &[Segment] {
-        &self.edges
     }
 
     /// Envelope of the indexed ring.

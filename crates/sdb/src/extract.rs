@@ -526,7 +526,7 @@ fn build_self_join_memo(
 /// Moves the thread-local geometry-kernel counters accumulated since the
 /// last reset into `metrics`.
 ///
-/// Every counter — including the SIMD/quant fallback counters — is
+/// Every counter — including the quantized point-location counters — is
 /// drained per extraction task (row or memo entry) into that task's own
 /// `Metrics` and merged in deterministic row order, so totals are
 /// invariant under the worker thread count.
@@ -535,11 +535,8 @@ pub(crate) fn drain_kernel_counters(metrics: &mut Metrics) {
     metrics.add_counter("geom/segtree_nodes_visited", k.segtree_nodes_visited);
     metrics.add_counter("geom/pairs_exact", k.pairs_exact);
     metrics.add_counter("geom/distance_early_exit", k.distance_early_exit);
-    metrics.add_counter("geom/simd_lanes_tested", k.simd_lanes_tested);
-    metrics.add_counter("geom/simd_fallback_exact", k.simd_fallback_exact);
     metrics.add_counter("geom/quant_cells_resolved", k.quant_cells_resolved);
     metrics.add_counter("geom/quant_fallback_exact", k.quant_fallback_exact);
-    metrics.add_counter("geom/quant_lanes_tested", k.quant_lanes_tested);
 }
 
 /// Computes one reference feature's predicates, in the exact order the

@@ -85,10 +85,7 @@ echo "==> strategy-equivalence gate (all counting backends incl. hybrid/auto bit
 cargo test --release -q -p geopattern-integration --test strategy_equivalence
 cargo test --release -q -p geopattern-integration --test bitmap_properties
 
-echo "==> SIMD leaf-kernel gate (lane paths bit-identical to scalar)"
-cargo test --release -q -p geopattern-integration --test simd_properties
-
-echo "==> quantized-kernel gate (int32 grid bit-identical to f64; certain answers exact; .gpb v2 column feeds from_grid)"
+echo "==> quantized point-location gate (certain int32-grid answers exact; boundary probes never certain; extraction and counters thread/tile invariant)"
 cargo test --release -q -p geopattern-integration --test quant_properties
 
 echo "==> tiling-equivalence gate (tiled extraction bit-identical to flat)"
@@ -102,7 +99,7 @@ echo "==> experiments counting smoke (emits BENCH_counting.json; bitmap > hash-s
 cargo run --release -q -p geopattern-bench --bin experiments -- counting --check
 test -s BENCH_counting.json
 
-echo "==> experiments kernel (emits BENCH_kernel.json; SIMD ≥1.5x scalar locate, quant ≥1.3x SIMD locate, lattice fallbacks <5%, extraction bit-identical across SIMD×quant toggles)"
+echo "==> experiments kernel (emits BENCH_kernel.json; indexed outputs bit-identical to brute force, quant locate reported vs the exact index, lattice fallbacks <5%)"
 cargo run --release -q -p geopattern-bench --bin experiments -- kernel --max 256 --check
 test -s BENCH_kernel.json
 

@@ -10,13 +10,24 @@
 //!
 //! The same corpus drives the binary `.gpb` format both ways: every
 //! mutant the text parser *accepts* must survive a WKT → binary → WKT
-//! round trip verbatim, and PRNG-corrupted binary bytes must produce a
-//! typed `GpbError` — never a panic, never an unbounded allocation.
+//! round trip verbatim, and PRNG-corrupted binary bytes — including the
+//! quantized-column tail of version-2 files written by earlier builds —
+//! must produce a typed `GpbError` — never a panic, never an unbounded
+//! allocation.
 
 use geopattern::{from_gpb, to_gpb, SpatialDataset};
 use geopattern_datagen::{generate_city, CityConfig};
-use geopattern_sdb::{to_gpb_v1, GpbReader};
+use geopattern_integration::{gpb_v1_to_v2, V2Column};
+use geopattern_sdb::GpbReader;
 use geopattern_testkit::Rng;
+
+/// A window covering every finite envelope.
+fn everywhere() -> geopattern_geom::Rect {
+    geopattern_geom::Rect::new(
+        geopattern_geom::coord(f64::MIN, f64::MIN),
+        geopattern_geom::coord(f64::MAX, f64::MAX),
+    )
+}
 
 /// Hostile fragments spliced into the text at random positions.
 const POISON: &[&str] = &[
@@ -191,16 +202,11 @@ fn corrupted_binary_bytes_never_panic_the_reader() {
         if let Ok(decoded) = from_gpb(&bytes) {
             let _ = decoded.to_text();
         }
-        // The quantized-column decode path (version-2 payloads: quantizer
-        // headers, delta streams) must hold the same property — every
-        // layer, never a panic, typed errors only.
+        // The streaming windowed path must hold the same property —
+        // every layer, never a panic, typed errors only.
         if let Ok(reader) = GpbReader::open(&bytes) {
-            let window = geopattern_geom::Rect::new(
-                geopattern_geom::coord(f64::MIN, f64::MIN),
-                geopattern_geom::coord(f64::MAX, f64::MAX),
-            );
             for layer in 0..reader.num_layers() {
-                let _ = reader.read_layer_window_quant(layer, &window);
+                let _ = reader.read_layer_window(layer, &everywhere());
             }
         }
         let _ = i;
@@ -214,7 +220,8 @@ fn corrupted_quant_sections_never_panic_the_reader() {
     // columns. Random stomps over the back half of the payload land there
     // far more often than whole-file mutation does.
     let ds = generate_city(&CityConfig { grid: 3, seed: 5, ..Default::default() });
-    let pristine = to_gpb(&ds);
+    let pristine = gpb_v1_to_v2(&to_gpb(&ds), V2Column::Quantized);
+    assert_eq!(from_gpb(&pristine).expect("pristine v2 decodes").to_text(), ds.to_text());
     let mut rng = Rng::seed_from_u64(0x0_4A17_B10C);
     for i in 0..400 {
         let mut bytes = pristine.clone();
@@ -240,16 +247,14 @@ fn corrupted_quant_sections_never_panic_the_reader() {
                 _ => bytes[at] = rng.below(256) as u8,
             }
         }
+        // Ok or a typed GpbError, on the whole-dataset and the
+        // streaming path alike.
+        if let Ok(decoded) = from_gpb(&bytes) {
+            let _ = decoded.to_text();
+        }
         if let Ok(reader) = GpbReader::open(&bytes) {
-            let window = geopattern_geom::Rect::new(
-                geopattern_geom::coord(f64::MIN, f64::MIN),
-                geopattern_geom::coord(f64::MAX, f64::MAX),
-            );
             for layer in 0..reader.num_layers() {
-                // Ok or typed GpbError; a decoded column must be usable.
-                if let Ok((_, Some(col))) = reader.read_layer_window_quant(layer, &window) {
-                    assert_eq!(col.qx.len(), col.qy.len());
-                }
+                let _ = reader.read_layer_window(layer, &everywhere());
             }
         }
         let _ = i;
@@ -258,24 +263,14 @@ fn corrupted_quant_sections_never_panic_the_reader() {
 
 #[test]
 fn v1_writer_output_reads_back_byte_identically() {
-    // The legacy writer must still produce version-1 bytes that decode to
-    // the same dataset as the version-2 writer, and re-encoding the
-    // decoded dataset must reproduce the exact same v1 byte stream
-    // (binary determinism, no quantized column involved).
+    // The writer produces version-1 bytes that decode to the same
+    // dataset, and re-encoding the decoded dataset reproduces the exact
+    // same byte stream: `to_gpb` is a fixed point.
     let ds = generate_city(&CityConfig { grid: 3, seed: 5, ..Default::default() });
-    let v1 = to_gpb_v1(&ds);
+    let v1 = to_gpb(&ds);
     let reader = GpbReader::open(&v1).expect("v1 bytes open");
     assert_eq!(reader.version(), 1);
     let back = from_gpb(&v1).expect("v1 bytes decode");
     assert_eq!(back.to_text(), ds.to_text());
-    assert_eq!(to_gpb_v1(&back), v1, "v1 encoding is not a fixed point");
-    // And no layer reports a quantized column.
-    let window = geopattern_geom::Rect::new(
-        geopattern_geom::coord(f64::MIN, f64::MIN),
-        geopattern_geom::coord(f64::MAX, f64::MAX),
-    );
-    for layer in 0..reader.num_layers() {
-        let (_, col) = reader.read_layer_window_quant(layer, &window).expect("v1 windowed read");
-        assert!(col.is_none(), "v1 layer {layer} grew a quantized column");
-    }
+    assert_eq!(to_gpb(&back), v1, "encoding is not a fixed point");
 }

@@ -1,34 +1,23 @@
-//! Property tests for the quantized integer fast path (`QuantRing`).
+//! Property tests for the quantized integer point-location path
+//! (`QuantRing`).
 //!
-//! The i32-grid layer under the prepared-geometry path is a pure
-//! accelerator: certain answers are exact by the snap-band homotopy
-//! argument, ambiguous queries fall back to the exact `f64` path, and
-//! every observable output must be **bit-identical** with the layer on
-//! and off — per ring, per prepared pair, and through a full extraction
-//! at any thread count and tiling. These tests drive it with seeded
-//! star and lattice generators plus adversarial probes: exact grid
-//! points, points a fraction of a snap band off an edge, and ±one-ulp
-//! perturbations of boundary points.
+//! Prepared polygons locate points on an i32 grid first: certain answers
+//! are exact by the snap-band homotopy argument, and ambiguous queries
+//! go to the exact `f64` ring index. These tests drive the certainty
+//! contract with seeded star and lattice generators plus adversarial
+//! probes — exact grid points, points a fraction of a snap band off an
+//! edge, and ±one-ulp perturbations of boundary points — and check that
+//! a full extraction and its quant counters are invariant under thread
+//! count and tiling.
 
 use geopattern::{Recorder, Threads};
 use geopattern_datagen::{generate_city, lattice_polygon, star_polygon, CityConfig};
 use geopattern_geom::{
-    coord, geometry_distance, geometry_distance_within, quant_enabled, set_quant_enabled,
-    take_kernel_counters, Coord, Geometry, PointLocation, PreparedGeometry, QuantRing, Ring,
-    SoaRing,
+    coord, geometry_distance, relate, take_kernel_counters, Coord, Geometry, Point, PointLocation,
+    Polygon, PreparedGeometry, QuantRing, Ring,
 };
-use geopattern_sdb::{
-    extract_predicates, to_gpb, ExtractionConfig, GpbReader, Predicate, PredicateTable, Tiling,
-};
+use geopattern_sdb::{extract_predicates, ExtractionConfig, Predicate, PredicateTable, Tiling};
 use geopattern_testkit::Rng;
-use std::sync::{Mutex, MutexGuard};
-
-/// Serialises the tests that flip the process-wide quant toggle or
-/// assert on its counters.
-fn toggle_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn ulp_up(v: f64) -> f64 {
     f64::from_bits(if v >= 0.0 { v.to_bits() + 1 } else { v.to_bits() - 1 })
@@ -95,12 +84,10 @@ fn quant_probes(ring: &Ring, q: &QuantRing) -> Vec<Coord> {
 }
 
 /// The quant contract on one ring: a certain (`Some`) answer from
-/// `try_locate` equals the exact `Ring::locate`, a robust boundary probe
-/// is never certain, and `SoaRing::locate` stays bit-identical with the
-/// quant layer on and off.
+/// `try_locate` equals the exact `Ring::locate`, and a robust boundary
+/// probe is never certain.
 fn assert_quant_contract(ring: &Ring) {
     let q = QuantRing::build(ring);
-    let soa = SoaRing::build(ring);
     assert_eq!(q.len(), ring.num_points());
     for &p in &quant_probes(ring, &q) {
         let scalar = ring.locate(p);
@@ -110,12 +97,6 @@ fn assert_quant_contract(ring: &Ring) {
         if scalar == PointLocation::OnBoundary {
             assert_eq!(q.try_locate(p), None, "boundary probe {p:?} answered certain");
         }
-        set_quant_enabled(false);
-        let off = soa.locate(p);
-        set_quant_enabled(true);
-        let on = soa.locate(p);
-        assert_eq!(off, scalar, "quant-off locate diverged at {p:?}");
-        assert_eq!(on, scalar, "quant-on locate diverged at {p:?}");
     }
 }
 
@@ -123,8 +104,6 @@ fn assert_quant_contract(ring: &Ring) {
 /// lanes in the eight-wide integer blocks.
 #[test]
 fn quant_matches_scalar_on_star_rings() {
-    let _guard = toggle_lock();
-    let was = quant_enabled();
     let mut rng = Rng::seed_from_u64(42);
     for vertices in [3usize, 5, 8, 9, 13, 16, 21, 64] {
         let center = coord(rng.f64() * 20.0, rng.f64() * 20.0);
@@ -132,7 +111,6 @@ fn quant_matches_scalar_on_star_rings() {
         let poly = star_polygon(&mut rng, center, r_min, r_max, vertices);
         assert_quant_contract(poly.exterior());
     }
-    set_quant_enabled(was);
 }
 
 /// Lattice-quantised rings: collinear chains, axis-parallel edges, and
@@ -140,22 +118,19 @@ fn quant_matches_scalar_on_star_rings() {
 /// degenerate cases where the snap band must force a fallback.
 #[test]
 fn quant_matches_scalar_on_lattice_rings() {
-    let _guard = toggle_lock();
-    let was = quant_enabled();
     let mut rng = Rng::seed_from_u64(7);
     for _ in 0..12 {
         let poly = lattice_polygon(&mut rng, 12);
         assert_quant_contract(poly.exterior());
     }
-    set_quant_enabled(was);
 }
 
-/// DE-9IM matrices from the prepared path are identical with the quant
-/// layer on and off.
+/// Overlapping star polygons: areal relate locates each ring's vertices
+/// in the other polygon through the quantized ring, and through the exact
+/// index where the grid declines, so prepared relate must equal brute
+/// relate on every ordered pair.
 #[test]
-fn relate_bit_identical_with_quant_toggle() {
-    let _guard = toggle_lock();
-    let was = quant_enabled();
+fn relate_matches_brute_through_quant_point_location() {
     let mut rng = Rng::seed_from_u64(5);
     let geoms: Vec<Geometry> = (0..8)
         .map(|_| {
@@ -165,53 +140,51 @@ fn relate_bit_identical_with_quant_toggle() {
         .collect();
     let prepared: Vec<PreparedGeometry> =
         geoms.iter().map(|g| PreparedGeometry::new(g.clone())).collect();
-    for a in &prepared {
-        for b in &prepared {
-            set_quant_enabled(false);
-            let off = a.relate_to(b);
-            set_quant_enabled(true);
-            let on = a.relate_to(b);
-            assert_eq!(off, on, "relate matrix changed with the quant toggle");
+    let _ = take_kernel_counters();
+    for (a, pa) in geoms.iter().zip(&prepared) {
+        for (b, pb) in geoms.iter().zip(&prepared) {
+            assert_eq!(pa.relate_to(pb), relate(a, b), "prepared relate diverged from brute");
         }
     }
-    set_quant_enabled(was);
+    let k = take_kernel_counters();
+    assert!(k.quant_cells_resolved > 0, "relate sweep never resolved on the grid: {k:?}");
 }
 
-/// Bounded distance is bit-identical with the quant layer on and off,
-/// across generous, exact, one-ulp-short, NaN and infinite bounds (the
-/// segment-tree prescreen must prune only what f64 would prune).
+/// Bounded distance from a star polygon to single-point probes aimed at
+/// the quantizer: whether a probe is at distance exactly 0 is a point
+/// location, so the bounded kernel must report the brute distance
+/// bit-for-bit at generous, exact, one-ulp-short, NaN and infinite
+/// bounds, with some probes resolved on the grid and some by the exact
+/// index.
 #[test]
-fn bounded_distance_bit_identical_with_quant_toggle() {
-    let _guard = toggle_lock();
-    let was = quant_enabled();
+fn bounded_distance_matches_brute_through_quant_point_location() {
     let mut rng = Rng::seed_from_u64(99);
-    let geoms: Vec<Geometry> = (0..10)
-        .map(|i| {
-            let center = coord(rng.f64() * 40.0, rng.f64() * 40.0);
-            star_polygon(&mut rng, center, 1.0, 4.0, 6 + i % 9).into()
-        })
-        .collect();
-    for a in &geoms {
-        for b in &geoms {
-            let d = geometry_distance(a, b);
-            let mut bounds = vec![d * 2.0 + 1.0, d, f64::NAN, f64::INFINITY];
+    for vertices in [6usize, 11, 14] {
+        let center = coord(rng.f64() * 40.0, rng.f64() * 40.0);
+        let polygon = star_polygon(&mut rng, center, 1.0, 4.0, vertices);
+        let ring = polygon.exterior().clone();
+        let region = PreparedGeometry::new(polygon.into());
+        let _ = take_kernel_counters();
+        for p in quant_probes(&ring, &QuantRing::build(&ring)) {
+            let probe: Geometry = Point::new(p).unwrap().into();
+            let d = geometry_distance(region.geometry(), &probe);
+            let probe = PreparedGeometry::new(probe);
+            let mut bounds = vec![d * 2.0 + 1.0, d, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
             if d > 0.0 {
                 bounds.push(ulp_down(d));
             }
-            for &bound in &bounds {
-                set_quant_enabled(false);
-                let off = geometry_distance_within(a, b, bound);
-                set_quant_enabled(true);
-                let on = geometry_distance_within(a, b, bound);
+            for bound in bounds {
                 assert_eq!(
-                    off.map(f64::to_bits),
-                    on.map(f64::to_bits),
-                    "distance_within diverged at bound {bound}"
+                    region.distance_within(&probe, bound).map(f64::to_bits),
+                    (d <= bound).then_some(d.to_bits()),
+                    "probe {p:?} at bound {bound}"
                 );
             }
         }
+        let k = take_kernel_counters();
+        assert!(k.quant_cells_resolved > 0, "{vertices}-vertex star: no grid answers: {k:?}");
+        assert!(k.quant_fallback_exact > 0, "{vertices}-vertex star: no exact fallbacks: {k:?}");
     }
-    set_quant_enabled(was);
 }
 
 fn table_key(t: &PredicateTable) -> (Vec<Predicate>, Vec<(String, Vec<u32>)>) {
@@ -220,11 +193,9 @@ fn table_key(t: &PredicateTable) -> (Vec<Predicate>, Vec<(String, Vec<u32>)>) {
 
 /// A full extraction — topological plus bounded qualitative distance —
 /// emits the same predicate table, rows and stats for every combination
-/// of quant toggle × thread count {1, 2, 8} × tiling {flat, 1, 7}.
+/// of thread count {1, 2, 8} × tiling {flat, 1, 7}.
 #[test]
 fn extraction_bit_identical_across_quant_threads_and_tiles() {
-    let _guard = toggle_lock();
-    let was = quant_enabled();
     let ds = generate_city(&CityConfig { grid: 6, seed: 11, ..Default::default() });
     let cell = CityConfig::default().cell;
     let base = ExtractionConfig::topological_only().with_distance(
@@ -236,38 +207,29 @@ fn extraction_bit_identical_across_quant_threads_and_tiles() {
     );
     let refs = ds.relevant_refs();
     let mut baseline = None;
-    for quant in [false, true] {
-        set_quant_enabled(quant);
-        for n in [1usize, 2, 8] {
-            let t = if n == 1 { Threads::Serial } else { Threads::Fixed(n) };
-            for tiles in [None, Some(1), Some(7)] {
-                let mut config = base.clone().with_threads(t);
-                if let Some(tiles_per_axis) = tiles {
-                    config = config.with_tiling(Tiling::Grid { tiles_per_axis });
-                }
-                let (table, stats) =
-                    extract_predicates(&ds.reference, &refs, &config).expect("extraction");
-                let key = (table_key(&table), stats);
-                match &baseline {
-                    None => baseline = Some(key),
-                    Some(b) => {
-                        assert_eq!(&key, b, "quant={quant} threads={n} tiles={tiles:?} diverged")
-                    }
-                }
+    for n in [1usize, 2, 8] {
+        let t = if n == 1 { Threads::Serial } else { Threads::Fixed(n) };
+        for tiles in [None, Some(1), Some(7)] {
+            let mut config = base.clone().with_threads(t);
+            if let Some(tiles_per_axis) = tiles {
+                config = config.with_tiling(Tiling::Grid { tiles_per_axis });
+            }
+            let (table, stats) =
+                extract_predicates(&ds.reference, &refs, &config).expect("extraction");
+            let key = (table_key(&table), stats);
+            match &baseline {
+                None => baseline = Some(key),
+                Some(b) => assert_eq!(&key, b, "threads={n} tiles={tiles:?} diverged"),
             }
         }
     }
-    set_quant_enabled(was);
 }
 
-/// The quant counters surface through the standard metrics drain, are
-/// zero with the layer disabled, and — because each extraction task
-/// drains its thread-local residue — the per-run totals are invariant
-/// across thread counts.
+/// The quant counters surface through the standard metrics drain and —
+/// because each extraction task drains its thread-local residue — the
+/// per-run totals are invariant across thread counts.
 #[test]
 fn quant_counters_surface_and_are_thread_invariant() {
-    let _guard = toggle_lock();
-    let was = quant_enabled();
     let ds = generate_city(&CityConfig { grid: 6, seed: 11, ..Default::default() });
     let refs = ds.relevant_refs();
     let config = ExtractionConfig::topological_only();
@@ -288,68 +250,30 @@ fn quant_counters_surface_and_are_thread_invariant() {
     };
 
     let _ = take_kernel_counters();
-    set_quant_enabled(true);
     let serial = run(Threads::Serial);
-    assert!(serial.1 > 0, "quant-on extraction resolved no cells");
+    assert!(serial.1 > 0, "extraction resolved no cells on the grid");
     for n in [2usize, 8] {
         let parallel = run(Threads::Fixed(n));
         assert_eq!(parallel, serial, "quant counters changed at {n} threads");
     }
-
-    set_quant_enabled(false);
-    let off = run(Threads::Serial);
-    assert_eq!(off.1, 0, "disabled layer still resolved cells");
-    assert_eq!(off.2, 0, "disabled layer still counted fallbacks");
-    assert_eq!(off.0, serial.0, "mined rows changed with the quant toggle");
-    set_quant_enabled(was);
 }
 
-/// The `.gpb` v2 quantized column feeds `QuantRing::from_grid` without
-/// any `f64` coordinate round-trip, and the resulting ring honours the
-/// same certainty contract as one built in memory: certain answers equal
-/// the exact locate of the decoded geometry.
+/// Prepared point location counts each query as resolved on the grid or
+/// answered by the exact index, and the benchmark-only
+/// `simd_fallback_exact` field mirrors the exact-index count.
 #[test]
-fn gpb_v2_column_feeds_from_grid_exactly() {
-    let ds = generate_city(&CityConfig { grid: 4, seed: 3, ..Default::default() });
-    let bytes = to_gpb(&ds);
-    let reader = GpbReader::open(&bytes).unwrap();
-    assert_eq!(reader.version(), 2);
-    let window = geopattern_geom::Rect::new(coord(f64::MIN, f64::MIN), coord(f64::MAX, f64::MAX));
-    let mut rings_checked = 0usize;
-    for i in 0..reader.num_layers() {
-        let (layer, col) = reader.read_layer_window_quant(i, &window).unwrap();
-        let col = match col {
-            Some(col) => col,
-            None => continue, // empty layer: no column written
-        };
-        assert_eq!(col.spans.len(), layer.len());
-        for (feature, &(start, count)) in layer.features().iter().zip(&col.spans) {
-            let ring = match &feature.geometry {
-                Geometry::Polygon(p) => p.exterior(),
-                _ => continue,
-            };
-            let n = ring.num_points();
-            assert!(n <= count, "span shorter than the exterior ring");
-            let pts: Vec<(i32, i32)> = (start..start + n)
-                .map(|k| (col.qx[k], col.qy[k]))
-                .collect();
-            let q = QuantRing::from_grid(col.quantizer, ring.envelope(), &pts);
-            assert!(!q.is_empty());
-            let env = ring.envelope();
-            let (w, h) = (env.max.x - env.min.x, env.max.y - env.min.y);
-            for gi in 0..12 {
-                for gj in 0..12 {
-                    let p = coord(
-                        env.min.x - 0.1 * w + (gi as f64 / 11.0) * 1.2 * w,
-                        env.min.y - 0.1 * h + (gj as f64 / 11.0) * 1.2 * h,
-                    );
-                    if let Some(fast) = q.try_locate(p) {
-                        assert_eq!(fast, ring.locate(p), "gpb-fed ring diverged at {p:?}");
-                    }
-                }
-            }
-            rings_checked += 1;
-        }
+fn simd_fallback_field_mirrors_quant_fallbacks() {
+    let mut rng = Rng::seed_from_u64(5);
+    let ring = star_polygon(&mut rng, coord(10.0, 10.0), 2.0, 6.0, 13).exterior().clone();
+    let region = PreparedGeometry::new(Polygon::new(ring.clone(), Vec::new()).unwrap().into());
+    let probes: Vec<Coord> = ring.coords().iter().copied().chain([coord(10.0, 10.0)]).collect();
+    let _ = take_kernel_counters();
+    for &p in &probes {
+        let point = PreparedGeometry::new(Point::new(p).unwrap().into());
+        let _ = region.relate_to(&point);
     }
-    assert!(rings_checked > 0, "dataset produced no polygon rings to check");
+    let k = take_kernel_counters();
+    assert!(k.quant_cells_resolved > 0, "interior probe must resolve on the grid");
+    assert!(k.quant_fallback_exact >= ring.num_points() as u64, "vertex probes must fall back");
+    assert_eq!(k.simd_fallback_exact, k.quant_fallback_exact);
 }
