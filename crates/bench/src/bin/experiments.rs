@@ -20,12 +20,9 @@
 //! with `--check` it exits non-zero unless the quantized ring declines
 //! fewer than 5% of the probes on a lattice workload. The
 //! `counting` subcommand races every support-counting strategy
-//! (hash-subset, prefix-trie, eclat, bitmap, diffset, hybrid, auto) on
-//! the canonical seed-42 workload after verifying their outputs
-//! identical; with `--check` it exits non-zero unless bitmap beats
-//! hash-subset, hybrid is ≥ 3x hash-subset, and auto lands within 1.15x
-//! of the best fixed counting strategy (eclat excluded — it is a
-//! different algorithm). The `tiling` subcommand measures the out-of-core pair on
+//! (prefix-trie, eclat, bitmap) on the canonical seed-42 workload after
+//! verifying their outputs identical; with `--check` it exits non-zero
+//! unless bitmap is ≥ 3x prefix-trie. The `tiling` subcommand measures the out-of-core pair on
 //! a metropolis-scale city (~1M features): WKT parse vs `.gpb` binary
 //! load (full materialisation and one-tile windowed fetch), and flat vs
 //! tiled extraction (verified bit-identical); with `--check` it enforces
@@ -488,13 +485,9 @@ fn strategy_runners<'a>(
         }
     };
     vec![
-        ("hash-subset", Box::new(apriori(CountingStrategy::HashSubset)) as StrategyRunner<'a>),
-        ("prefix-trie", Box::new(apriori(CountingStrategy::PrefixTrie))),
+        ("prefix-trie", Box::new(apriori(CountingStrategy::PrefixTrie)) as StrategyRunner<'a>),
         ("eclat", Box::new(move |t| mine_eclat(data, &EclatConfig::new(minsup).with_threads(t)))),
         ("bitmap", Box::new(apriori(CountingStrategy::VerticalBitmap))),
-        ("diffset", Box::new(apriori(CountingStrategy::Diffset))),
-        ("hybrid", Box::new(apriori(CountingStrategy::Hybrid))),
-        ("auto", Box::new(apriori(CountingStrategy::Auto))),
     ]
 }
 
@@ -502,12 +495,10 @@ fn strategy_runners<'a>(
 /// canonical seed-42 workload (the same one `scaling` uses), after
 /// verifying that all of them produce identical frequent itemsets and
 /// supports. Emits `BENCH_counting.json`; with `check` the process exits
-/// non-zero unless (1) the bitmap kernel beats hash-subset, (2) hybrid is
-/// at least 3x hash-subset, and (3) auto lands within 1.15x of the best
-/// *fixed* `--counting` strategy (eclat is a different algorithm, not a
-/// counting backend, so it is excluded from "best fixed").
+/// non-zero unless the vertical bitmap engine is at least 3x the
+/// prefix-trie (the default backend).
 fn print_counting(check: bool) {
-    header("Counting strategies — one workload, seven backends");
+    header("Counting strategies — one workload, three backends");
     let data = counting_workload();
     let minsup = MinSupport::Fraction(0.15);
     println!(
@@ -519,8 +510,8 @@ fn print_counting(check: bool) {
     let mut reference: Option<Vec<(Vec<geopattern_mining::ItemId>, u64)>> = None;
     let mut rows = Vec::new();
     let mut times: Vec<(&'static str, u128)> = Vec::new();
-    let mut hash_us = 0u128;
-    println!("\n{:>12} {:>12} {:>16}", "strategy", "median µs", "vs hash-subset");
+    let mut trie_us = 0u128;
+    println!("\n{:>12} {:>12} {:>16}", "strategy", "median µs", "vs prefix-trie");
     for (label, runner) in strategy_runners(&data, minsup) {
         let mut result = None;
         let us = time_us_n(3, || result = Some(runner(Threads::Serial)));
@@ -531,16 +522,16 @@ fn print_counting(check: bool) {
             .collect();
         match &reference {
             None => reference = Some(sets),
-            Some(r) => assert_eq!(&sets, r, "{label} output differs from hash-subset"),
+            Some(r) => assert_eq!(&sets, r, "{label} output differs from prefix-trie"),
         }
-        if label == "hash-subset" {
-            hash_us = us;
+        if label == "prefix-trie" {
+            trie_us = us;
         }
         times.push((label, us));
-        let speedup = hash_us as f64 / us.max(1) as f64;
+        let speedup = trie_us as f64 / us.max(1) as f64;
         println!("{label:>12} {us:>12} {speedup:>15.2}x");
         rows.push(format!(
-            "{{\"strategy\":{},\"median_us\":{us},\"speedup_vs_hash\":{}}}",
+            "{{\"strategy\":{},\"median_us\":{us},\"speedup_vs_trie\":{}}}",
             geopattern::obs::json::json_string(label),
             json_f64(speedup)
         ));
@@ -571,55 +562,17 @@ fn print_counting(check: bool) {
     write_bench("counting", &doc.into_string());
 
     if check {
-        let us_of = |l: &str| {
-            times.iter().find(|(k, _)| *k == l).map(|&(_, v)| v).expect("strategy was timed")
-        };
-        let bitmap_us = us_of("bitmap");
-        let hybrid_us = us_of("hybrid");
-        let auto_us = us_of("auto");
-        // "Best fixed" for the auto gate: the fastest `--counting`
-        // strategy. Eclat is a separate algorithm (its own DFS engine,
-        // not a counting backend a caller could name), auto is the thing
-        // under test.
-        let (best_label, best_us) = times
-            .iter()
-            .filter(|(l, _)| !matches!(*l, "eclat" | "auto"))
-            .min_by_key(|&&(_, us)| us)
-            .copied()
-            .expect("at least one fixed strategy");
-        let mut failed = false;
-        if bitmap_us >= hash_us {
+        let bitmap_us =
+            times.iter().find(|(k, _)| *k == "bitmap").map(|&(_, v)| v).expect("bitmap was timed");
+        let speedup = trie_us as f64 / bitmap_us.max(1) as f64;
+        if bitmap_us.saturating_mul(3) > trie_us {
             eprintln!(
-                "FAIL: bitmap kernel ({bitmap_us} µs) is not faster than hash-subset \
-                 ({hash_us} µs)"
+                "FAIL: bitmap ({bitmap_us} µs) is under 3x prefix-trie ({trie_us} µs, \
+                 {speedup:.2}x)"
             );
-            failed = true;
-        }
-        if hybrid_us.saturating_mul(3) > hash_us {
-            eprintln!(
-                "FAIL: hybrid ({hybrid_us} µs) is under 3x hash-subset ({hash_us} µs, \
-                 {:.2}x)",
-                hash_us as f64 / hybrid_us.max(1) as f64
-            );
-            failed = true;
-        }
-        // auto ≤ 1.15 × best fixed, in integer µs to keep the gate exact.
-        if auto_us.saturating_mul(100) > best_us.saturating_mul(115) {
-            eprintln!(
-                "FAIL: auto ({auto_us} µs) is more than 1.15x the best fixed strategy \
-                 ({best_label}, {best_us} µs)"
-            );
-            failed = true;
-        }
-        if failed {
             std::process::exit(1);
         }
-        println!(
-            "check passed: bitmap {:.2}x and hybrid {:.2}x over hash-subset; auto \
-             ({auto_us} µs) within 1.15x of best fixed ({best_label}, {best_us} µs)",
-            hash_us as f64 / bitmap_us.max(1) as f64,
-            hash_us as f64 / hybrid_us.max(1) as f64
-        );
+        println!("check passed: bitmap {speedup:.2}x over prefix-trie");
     }
 }
 

@@ -3,7 +3,7 @@
 //! ```text
 //! geopattern mine <dataset.gpd|.gpb> [--minsup 0.3] [--minconf 0.7]
 //!                 [--algorithm apriori|kc|kc+|fpgrowth|fpgrowth-kc+|eclat|eclat-kc+|tid|tid-kc+]
-//!                 [--counting hash-subset|prefix-trie|bitmap|diffset|hybrid|auto]
+//!                 [--counting prefix-trie|bitmap]
 //!                 [--dep TYPE_A TYPE_B]... [--threads N|auto] [--itemsets] [--rules]
 //!                 [--metrics json] [--timeout SECS] [--memory-budget BYTES]
 //!                 [--tile-size N] [--format wkt|gpb|auto]
@@ -117,10 +117,8 @@ fn print_usage() {
          geopattern gain --t T1,T2,... --n N\n\n\
          ALGORITHMS: apriori, kc, kc+ (default), fpgrowth, fpgrowth-kc+, eclat, eclat-kc+,\n            \
          tid, tid-kc+\n\
-         COUNTING (Apriori variants): hash-subset, prefix-trie (default), bitmap, diffset,\n            \
-         hybrid, auto — all backends produce identical itemsets;\n            \
-         bitmap/diffset/hybrid run the vertical triangular-C2 engine, and\n            \
-         auto samples the workload to pick a backend (mining/auto_choice)\n\n\
+         COUNTING (Apriori variants): prefix-trie (default), bitmap — both produce\n            \
+         identical itemsets; bitmap runs the vertical triangular-C2 engine\n\n\
          --format selects the dataset encoding: wkt text, gpb binary, or auto\n\
          (default; sniffs the GPB1 magic). --tile-size N shards extraction over an\n\
          N x N spatial tile grid — output is bit-identical to the flat path.\n\

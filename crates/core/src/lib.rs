@@ -66,10 +66,11 @@
 //! `Result<_, `[`Error`]`>`.
 //!
 //! Support counting is pluggable via
-//! [`MiningPipeline::counting`] ([`CountingStrategy`]): horizontal
-//! hash-subset / prefix-trie backends, or the vertical bitmap / diffset
-//! engine (triangular C₂ kernel over hybrid TID lists). All backends are
-//! bit-identical in output; they differ only in speed and memory shape.
+//! [`MiningPipeline::counting`] ([`CountingStrategy`]): the horizontal
+//! prefix trie (the default), or the vertical bitmap engine (triangular
+//! C₂ kernel, then equivalence-class DFS over hybrid TID lists). Both
+//! backends mine bit-identical itemsets; they differ only in speed and
+//! memory shape.
 //!
 //! # Observability
 //!
@@ -123,7 +124,7 @@ pub use geopattern_mining::{
 pub use geopattern_geom::TileGrid;
 pub use geopattern_obs::{Metrics, Recorder};
 pub use geopattern_par::{
-    atomic_write, fnv1a64, CancelToken, Interrupt, Journal, MemoryBudget, ShardLog, Threads,
+    atomic_write, fnv1a64, CancelToken, Interrupt, Journal, MemoryBudget, Threads,
 };
 pub use geopattern_qsr::{DistanceScheme, SpatialPredicate, TopologicalRelation};
 pub use geopattern_sdb::{

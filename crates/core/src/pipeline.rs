@@ -184,16 +184,10 @@ impl MiningPipeline {
         self
     }
 
-    /// Selects the Apriori counting backend: horizontal `HashSubset` /
-    /// `PrefixTrie`, the vertical `VerticalBitmap` / `Diffset` / `Hybrid`
-    /// engine (triangular C₂ kernel + hybrid TID lists, dEclat diffsets,
-    /// or the bitmap→diffset flip), or `Auto`, which samples the workload
-    /// and resolves to a fixed strategy before mining (recorded as
-    /// `mining/auto_choice`, readable via
-    /// [`PatternReport::auto_counting_choice`]). Every backend produces
-    /// bit-identical itemsets, supports and rules.
-    ///
-    /// [`PatternReport::auto_counting_choice`]: crate::PatternReport::auto_counting_choice
+    /// Selects the Apriori counting backend: the horizontal `PrefixTrie`
+    /// (the default) or the vertical `VerticalBitmap` engine (triangular
+    /// C₂ kernel, then equivalence-class DFS over hybrid TID lists). Both
+    /// produce bit-identical itemsets, supports and rules.
     pub fn counting(mut self, c: CountingStrategy) -> Self {
         self.counting = c;
         self

@@ -37,18 +37,6 @@ impl PatternReport {
         &self.metrics
     }
 
-    /// The counting strategy the `auto` policy resolved to, by name, if
-    /// this run used [`CountingStrategy::Auto`] with a recorder attached
-    /// (read back from the `mining/auto_choice/<name>` counter family).
-    ///
-    /// [`CountingStrategy::Auto`]: geopattern_mining::CountingStrategy::Auto
-    pub fn auto_counting_choice(&self) -> Option<&str> {
-        self.metrics
-            .counters_with_prefix("mining/auto_choice/")
-            .next()
-            .map(|(name, _)| &name["mining/auto_choice/".len()..])
-    }
-
     /// Frequent itemsets of size ≥ `min_size`, rendered with labels,
     /// in the paper's `{a, b, c} (support n)` style.
     pub fn frequent_itemsets(&self, min_size: usize) -> Vec<String> {

@@ -107,7 +107,7 @@ fn exit_4_on_timeout_with_partial_metrics() {
 fn counting_strategies_all_mine_the_same_summary() {
     let path = city_file("counting");
     let mut summaries = Vec::new();
-    for strategy in ["hash-subset", "prefix-trie", "bitmap", "diffset", "hybrid", "auto"] {
+    for strategy in ["prefix-trie", "bitmap", "trie", "vertical-bitmap"] {
         let out = run(&[
             "mine",
             path.to_str().unwrap(),
@@ -127,33 +127,17 @@ fn counting_strategies_all_mine_the_same_summary() {
 #[test]
 fn bad_counting_strategy_is_invalid_config_listing_all_names() {
     // Exit code 2 (invalid mining config), and the message names every
-    // accepted strategy so the caller can fix the flag without docs.
-    let out = run(&["mine", "x.gpd", "--counting", "quantum"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = stderr(&out);
-    assert!(err.contains("unknown counting strategy"), "stderr: {err}");
-    for name in ["hash-subset", "prefix-trie", "bitmap", "diffset", "hybrid", "auto"] {
-        assert!(err.contains(name), "stderr must list {name:?}: {err}");
+    // accepted strategy so the caller can fix the flag without docs. The
+    // names of the deleted backends are rejected like any other typo.
+    for bad in ["quantum", "auto", "hybrid", "diffset", "hash-subset"] {
+        let out = run(&["mine", "x.gpd", "--counting", bad]);
+        assert_eq!(out.status.code(), Some(2), "{bad}");
+        let err = stderr(&out);
+        assert!(err.contains("unknown counting strategy"), "{bad} stderr: {err}");
+        for name in ["prefix-trie", "bitmap"] {
+            assert!(err.contains(name), "{bad}: stderr must list {name:?}: {err}");
+        }
     }
-}
-
-#[test]
-fn auto_counting_records_its_choice_in_metrics_json() {
-    let path = city_file("auto-choice");
-    let out = run(&[
-        "mine",
-        path.to_str().unwrap(),
-        "--minsup",
-        "0.3",
-        "--counting",
-        "auto",
-        "--metrics",
-        "json",
-    ]);
-    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("\"mining/auto_choice\""), "metrics lack the auto decision: {text}");
-    assert!(text.contains("\"mining/auto_stats_transactions\""), "stats family missing: {text}");
 }
 
 #[test]

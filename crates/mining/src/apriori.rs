@@ -9,15 +9,16 @@
 //!   item metadata, no background knowledge required).
 //!
 //! Candidate generation is the classic `apriori_gen` join + prune
-//! (Agrawal & Srikant 1994). Two support-counting backends are provided
-//! for the ablation benchmarks: per-transaction subset enumeration against
-//! a hashed candidate set, and a candidate prefix-trie walk.
+//! (Agrawal & Srikant 1994). Two support-counting backends are provided:
+//! a candidate prefix-trie walk over each transaction (the horizontal
+//! Listing-1 path, and the default), and the vertical engine (triangular
+//! C₂ kernel, then an equivalence-class DFS over TID lists).
 //!
-//! Both backends parallelise over transaction chunks on the in-tree
-//! [`geopattern_par`] pool: the candidate index (hash map or trie) is
-//! built once and shared read-only, each worker accumulates a private
-//! count vector, and the vectors are reduced by summation — commutative,
-//! so the counts are identical to a serial run for any thread count.
+//! Both parallelise over transaction chunks on the in-tree
+//! [`geopattern_par`] pool: the candidate index (trie or kernel) is built
+//! once and shared read-only, each worker accumulates a private count
+//! vector, and the vectors are reduced by summation — commutative, so the
+//! counts are identical to a serial run for any thread count.
 
 use crate::filter::PairFilter;
 use crate::item::{ItemId, TransactionSet};
@@ -34,10 +35,8 @@ use std::time::Instant;
 /// Support-counting backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CountingStrategy {
-    /// Enumerate each transaction's k-subsets (restricted to frequent
-    /// items) and probe a hash set of candidates.
-    HashSubset,
-    /// Walk a prefix trie of candidates along each transaction.
+    /// Walk a prefix trie of `apriori_gen` candidates along each
+    /// transaction (the horizontal Listing-1 path).
     #[default]
     PrefixTrie,
     /// Vertical engine: pass 2 through the triangular C₂ kernel (one
@@ -45,77 +44,29 @@ pub enum CountingStrategy {
     /// passes by equivalence-class DFS over hybrid dense/sparse TID
     /// lists ([`crate::bitmap::TidList`]).
     VerticalBitmap,
-    /// Vertical engine with dEclat *diffsets* below pass 2: memory is
-    /// proportional to support deltas, which is what deep, dense
-    /// recursions want.
-    Diffset,
-    /// Vertical engine that runs the first lattice level on word-packed
-    /// bitmaps (bounded popcount joins), then flips each equivalence
-    /// class to dEclat diffsets below the first recursion level, with
-    /// members rank-ordered by ascending support — dense workloads get
-    /// bitmap-speed joins without diffset's top-level `t(x) \ t(y)`
-    /// builds from full TID vectors.
-    Hybrid,
-    /// Workload-sampled selection: [`crate::strategy::choose`] picks one
-    /// of the fixed strategies (and a parallel grain) from cheap
-    /// statistics before the run, recording the decision as
-    /// `mining/auto_choice`. Output is bit-identical to whatever it
-    /// picks.
-    Auto,
 }
 
 impl CountingStrategy {
     /// The CLI/bench name of the strategy.
     pub fn name(self) -> &'static str {
         match self {
-            CountingStrategy::HashSubset => "hash-subset",
             CountingStrategy::PrefixTrie => "prefix-trie",
             CountingStrategy::VerticalBitmap => "bitmap",
-            CountingStrategy::Diffset => "diffset",
-            CountingStrategy::Hybrid => "hybrid",
-            CountingStrategy::Auto => "auto",
         }
     }
 
     /// Every accepted CLI/bench name, for error messages and usage text.
-    pub const ALL_NAMES: [&'static str; 6] =
-        ["hash-subset", "prefix-trie", "bitmap", "diffset", "hybrid", "auto"];
+    pub const ALL_NAMES: [&'static str; 2] = ["prefix-trie", "bitmap"];
 
     /// Parses a CLI/bench name.
     pub fn parse(s: &str) -> Result<CountingStrategy, String> {
         match s.to_ascii_lowercase().as_str() {
-            "hash-subset" | "hash" => Ok(CountingStrategy::HashSubset),
             "prefix-trie" | "trie" => Ok(CountingStrategy::PrefixTrie),
             "bitmap" | "vertical-bitmap" => Ok(CountingStrategy::VerticalBitmap),
-            "diffset" | "declat" => Ok(CountingStrategy::Diffset),
-            "hybrid" => Ok(CountingStrategy::Hybrid),
-            "auto" => Ok(CountingStrategy::Auto),
             other => Err(format!(
                 "unknown counting strategy {other:?} (expected one of: {})",
                 CountingStrategy::ALL_NAMES.join(", ")
             )),
-        }
-    }
-
-    /// True for the vertical (bitmap/diffset/hybrid) engine. `Auto` is
-    /// not vertical per se: it resolves to a fixed strategy first.
-    pub fn is_vertical(self) -> bool {
-        matches!(
-            self,
-            CountingStrategy::VerticalBitmap | CountingStrategy::Diffset | CountingStrategy::Hybrid
-        )
-    }
-
-    /// Stable numeric code recorded as the `mining/auto_choice` counter
-    /// value (counters carry `u64`, not strings).
-    pub fn code(self) -> u64 {
-        match self {
-            CountingStrategy::HashSubset => 1,
-            CountingStrategy::PrefixTrie => 2,
-            CountingStrategy::VerticalBitmap => 3,
-            CountingStrategy::Diffset => 4,
-            CountingStrategy::Hybrid => 5,
-            CountingStrategy::Auto => 0,
         }
     }
 }
@@ -134,10 +85,6 @@ pub struct AprioriConfig {
     /// Worker threads for support counting. Counts are identical for
     /// every setting; this only changes wall-clock.
     pub threads: Threads,
-    /// Parallel chunking grain for support counting. Like `threads`,
-    /// purely a wall-clock knob: counts are identical for every setting.
-    /// [`CountingStrategy::Auto`] overrides it with the policy's pick.
-    pub grain: Grain,
     /// Metric sink for per-pass timings and counters. Disabled by
     /// default; recording never changes the mined output.
     pub recorder: Recorder,
@@ -170,7 +117,6 @@ impl AprioriConfig {
             same_type: PairFilter::none(),
             counting: CountingStrategy::default(),
             threads: Threads::Serial,
-            grain: Grain::Fine,
             recorder: Recorder::disabled(),
             cancel: CancelToken::none(),
             budget: MemoryBudget::unlimited(),
@@ -201,12 +147,6 @@ impl AprioriConfig {
     /// Sets the worker-thread policy (builder style).
     pub fn with_threads(mut self, threads: Threads) -> AprioriConfig {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the parallel chunking grain (builder style).
-    pub fn with_grain(mut self, grain: Grain) -> AprioriConfig {
-        self.grain = grain;
         self
     }
 
@@ -254,27 +194,6 @@ pub fn mine(data: &TransactionSet, config: &AprioriConfig) -> MiningResult {
 /// tracks candidate-set bytes against `config.budget`. With a disabled
 /// token and unlimited budget the output is bit-identical to [`mine`].
 pub fn try_mine(data: &TransactionSet, config: &AprioriConfig) -> Result<MiningResult, Interrupt> {
-    if config.counting == CountingStrategy::Auto {
-        // Resolve the adaptive strategy once, up front: sample the cheap
-        // workload statistics, run the pure policy, record the decision,
-        // and re-enter with a fixed strategy. Output is bit-identical to
-        // running the chosen strategy directly.
-        let stats = crate::strategy::WorkloadStats::sample(data, &config.budget);
-        let (chosen, grain) = crate::strategy::choose(stats);
-        let rec = &config.recorder;
-        rec.counter("mining/auto_choice", chosen.code());
-        rec.counter(&format!("mining/auto_choice/{}", chosen.name()), 1);
-        rec.counter(&format!("mining/auto_grain/{}", grain.name()), 1);
-        rec.counter("mining/auto_stats_transactions", stats.transactions as u64);
-        rec.counter("mining/auto_stats_items", stats.items as u64);
-        rec.counter("mining/auto_stats_total_entries", stats.total_entries as u64);
-        rec.counter("mining/auto_stats_density_ppm", stats.density_ppm());
-        if let Some(headroom) = stats.budget_headroom {
-            rec.counter("mining/auto_stats_budget_headroom", headroom as u64);
-        }
-        let resolved = config.clone().with_counting(chosen).with_grain(grain);
-        return try_mine(data, &resolved);
-    }
     let start = Instant::now();
     let rec = &config.recorder;
     let _alg_span = rec.span("apriori");
@@ -320,7 +239,7 @@ pub fn try_mine(data: &TransactionSet, config: &AprioriConfig) -> Result<MiningR
         }
     }
 
-    if config.counting.is_vertical() {
+    if config.counting == CountingStrategy::VerticalBitmap {
         return try_mine_vertical(data, config, threshold, stats, levels, journaled, start);
     }
 
@@ -414,20 +333,7 @@ pub fn try_mine(data: &TransactionSet, config: &AprioriConfig) -> Result<MiningR
         // candidate set against the budget for the duration of the pass.
         let candidate_bytes = robust::nested_vec_bytes(&candidates);
         let _ = config.budget.reserve(candidate_bytes);
-        let counts = match config.counting {
-            CountingStrategy::HashSubset => {
-                count_hash_subset(data, &candidates, k, config.threads, config.grain, &config.cancel)
-            }
-            CountingStrategy::PrefixTrie => {
-                count_prefix_trie(data, &candidates, k, config.threads, config.grain, &config.cancel)
-            }
-            CountingStrategy::VerticalBitmap
-            | CountingStrategy::Diffset
-            | CountingStrategy::Hybrid => {
-                unreachable!("vertical strategies branch off before the horizontal loop")
-            }
-            CountingStrategy::Auto => unreachable!("Auto resolves before mining starts"),
-        };
+        let counts = count_prefix_trie(data, &candidates, config.threads, &config.cancel);
         config.budget.release(candidate_bytes);
         let counts = counts?;
 
@@ -466,17 +372,18 @@ pub fn try_mine(data: &TransactionSet, config: &AprioriConfig) -> Result<MiningR
     Ok(MiningResult { levels, stats })
 }
 
-/// The vertical engine behind [`CountingStrategy::VerticalBitmap`],
-/// [`CountingStrategy::Diffset`] and [`CountingStrategy::Hybrid`].
+/// The vertical engine behind [`CountingStrategy::VerticalBitmap`].
 ///
 /// Pass 2 reuses `apriori_gen` and the KC/KC+ retain step verbatim (so
-/// the filter statistics are identical to the horizontal backends), then
+/// the filter statistics are identical to the horizontal backend), then
 /// counts the surviving C₂ with the triangular kernel — one streaming
 /// scan of the transactions, one array cell per post-filter pair, no
 /// hashing. Passes 3 and up switch to an equivalence-class DFS over
 /// vertical TID structures ([`crate::bitmap::mine_vertical_levels`]).
-/// Output is bit-identical to the horizontal backends at any thread
-/// count; only wall-clock and memory shape change.
+/// Itemsets and supports are bit-identical to the horizontal backend at
+/// any thread count; only wall-clock, memory shape and the level-3+
+/// entries of `candidates_per_level` (join attempts, not `apriori_gen`
+/// counts) differ.
 fn try_mine_vertical(
     data: &TransactionSet,
     config: &AprioriConfig,
@@ -582,11 +489,10 @@ fn try_mine_vertical(
         let _ = config.budget.reserve(candidate_bytes);
         let l1_items: Vec<ItemId> = levels[0].iter().map(|f| f.items[0]).collect();
         let kernel = crate::bitmap::TriangularC2::new(data.catalog.len(), &l1_items, &candidates);
-        let counts =
-            count_chunked(data, candidates.len(), config.threads, config.grain, &config.cancel, {
-                let kernel = &kernel;
-                move |chunk, counts| kernel.count_chunk(chunk, counts)
-            });
+        let counts = count_chunked(data, candidates.len(), config.threads, &config.cancel, {
+            let kernel = &kernel;
+            move |chunk, counts| kernel.count_chunk(chunk, counts)
+        });
         config.budget.release(candidate_bytes);
         let counts = counts?;
 
@@ -643,41 +549,23 @@ fn vertical_descent(
     robust::checkpoint(&config.cancel, rec)?;
     let deep_span = rec.span("vertical");
     let filter = config.combined_filter();
-    let mode = match config.counting {
-        CountingStrategy::VerticalBitmap => crate::bitmap::VerticalMode::Bitmap,
-        CountingStrategy::Diffset => crate::bitmap::VerticalMode::Diffset,
-        CountingStrategy::Hybrid => crate::bitmap::VerticalMode::Hybrid,
-        _ => unreachable!("vertical path entered with a horizontal strategy"),
-    };
     let outcome = crate::bitmap::mine_vertical_levels(
         data,
         &levels[0],
         &levels[1],
         threshold,
         &filter,
-        mode,
         config.threads,
         &config.cancel,
         &config.budget,
     )?;
     drop(deep_span);
-    match mode {
-        crate::bitmap::VerticalMode::Bitmap => {
-            rec.counter("mining/bitmap_words", outcome.bitmap_words);
-        }
-        crate::bitmap::VerticalMode::Diffset => {
-            rec.counter("mining/diffset_bytes", outcome.diffset_bytes);
-        }
-        crate::bitmap::VerticalMode::Hybrid => {
-            // Hybrid lives in both worlds: bitmaps at the first
-            // lattice level, diffsets below the flip.
-            rec.counter("mining/bitmap_words", outcome.bitmap_words);
-            rec.counter("mining/diffset_bytes", outcome.diffset_bytes);
-        }
-    }
+    rec.counter("mining/bitmap_words", outcome.bitmap_words);
     for (d, &attempts) in outcome.attempts_per_level.iter().enumerate() {
         let k = d + 3;
-        rec.counter(&format!("apriori.pass{k}.candidates"), attempts as u64);
+        // DFS join attempts, not `apriori_gen` output: a distinct name so
+        // the two never read as the same quantity.
+        rec.counter(&format!("apriori.pass{k}.joins"), attempts as u64);
         stats.candidates_per_level.push(attempts);
         let frequent = outcome.levels.get(d).map(Vec::len).unwrap_or(0);
         rec.counter(&format!("apriori.pass{k}.frequent"), frequent as u64);
@@ -776,16 +664,14 @@ fn count_chunked(
     data: &TransactionSet,
     num_candidates: usize,
     threads: Threads,
-    grain: Grain,
     cancel: &CancelToken,
     count_chunk: impl Fn(&[Vec<ItemId>], &mut [u64]) + Sync,
 ) -> Result<Vec<u64>, Interrupt> {
-    // Fine grain by default: one transaction is cheap to count, so
-    // workers only pay off with thousands of transactions each. The
-    // auto policy may pick coarse for heavy rows.
+    // Fine grain: one transaction is cheap to count, so workers only pay
+    // off with thousands of transactions each.
     let counts = try_par_map_reduce_grained(
         threads,
-        grain,
+        Grain::Fine,
         cancel,
         "mining/apriori.count",
         data.transactions(),
@@ -805,59 +691,6 @@ fn count_chunked(
     Ok(counts.unwrap_or_else(|| vec![0u64; num_candidates]))
 }
 
-/// Counting backend 1: enumerate each transaction's k-subsets over the
-/// items appearing in any candidate, probing a hash map.
-fn count_hash_subset(
-    data: &TransactionSet,
-    candidates: &[Vec<ItemId>],
-    k: usize,
-    threads: Threads,
-    grain: Grain,
-    cancel: &CancelToken,
-) -> Result<Vec<u64>, Interrupt> {
-    let mut index: HashMap<&[ItemId], usize> = HashMap::with_capacity(candidates.len());
-    let mut live_items: HashSet<ItemId> = HashSet::new();
-    for (pos, c) in candidates.iter().enumerate() {
-        index.insert(c.as_slice(), pos);
-        live_items.extend(c.iter().copied());
-    }
-    count_chunked(data, candidates.len(), threads, grain, cancel, |chunk, counts| {
-        let mut filtered: Vec<ItemId> = Vec::new();
-        let mut subset: Vec<ItemId> = Vec::with_capacity(k);
-        for t in chunk {
-            filtered.clear();
-            filtered.extend(t.iter().copied().filter(|i| live_items.contains(i)));
-            if filtered.len() < k {
-                continue;
-            }
-            enumerate_subsets(&filtered, k, &mut subset, 0, &mut |s| {
-                if let Some(&pos) = index.get(s) {
-                    counts[pos] += 1;
-                }
-            });
-        }
-    })
-}
-
-fn enumerate_subsets(
-    items: &[ItemId],
-    k: usize,
-    current: &mut Vec<ItemId>,
-    from: usize,
-    visit: &mut impl FnMut(&[ItemId]),
-) {
-    if current.len() == k {
-        visit(current);
-        return;
-    }
-    let needed = k - current.len();
-    for i in from..=items.len().saturating_sub(needed) {
-        current.push(items[i]);
-        enumerate_subsets(items, k, current, i + 1, visit);
-        current.pop();
-    }
-}
-
 /// A node of the candidate prefix trie.
 #[derive(Default)]
 struct TrieNode {
@@ -866,14 +699,12 @@ struct TrieNode {
     leaf: Option<usize>,
 }
 
-/// Counting backend 2: walk a prefix trie of candidates along each
-/// (sorted) transaction.
+/// The horizontal counting backend: walk a prefix trie of candidates
+/// along each (sorted) transaction.
 fn count_prefix_trie(
     data: &TransactionSet,
     candidates: &[Vec<ItemId>],
-    _k: usize,
     threads: Threads,
-    grain: Grain,
     cancel: &CancelToken,
 ) -> Result<Vec<u64>, Interrupt> {
     let mut root = TrieNode::default();
@@ -884,7 +715,7 @@ fn count_prefix_trie(
         }
         node.leaf = Some(pos);
     }
-    count_chunked(data, candidates.len(), threads, grain, cancel, |chunk, counts| {
+    count_chunked(data, candidates.len(), threads, cancel, |chunk, counts| {
         for t in chunk {
             walk_trie(&root, t, counts);
         }
@@ -944,19 +775,19 @@ mod tests {
     fn both_counting_backends_agree() {
         let data = toy();
         for support in [1u64, 2, 3] {
-            let hash = mine(
-                &data,
-                &AprioriConfig::apriori(MinSupport::Count(support))
-                    .with_counting(CountingStrategy::HashSubset),
-            );
             let trie = mine(
                 &data,
                 &AprioriConfig::apriori(MinSupport::Count(support))
                     .with_counting(CountingStrategy::PrefixTrie),
             );
-            let h: Vec<_> = hash.all().collect();
+            let bitmap = mine(
+                &data,
+                &AprioriConfig::apriori(MinSupport::Count(support))
+                    .with_counting(CountingStrategy::VerticalBitmap),
+            );
             let t: Vec<_> = trie.all().collect();
-            assert_eq!(h, t, "support {support}");
+            let b: Vec<_> = bitmap.all().collect();
+            assert_eq!(t, b, "support {support}");
         }
     }
 
@@ -968,68 +799,34 @@ mod tests {
                 [PairFilter::none(), PairFilter::from_pairs([(0u32, 1u32), (2u32, 3u32)])]
             {
                 let base = AprioriConfig::apriori_kc(MinSupport::Count(support), filter);
-                let oracle = mine(&data, &base.clone().with_counting(CountingStrategy::HashSubset));
-                for strategy in [
-                    CountingStrategy::VerticalBitmap,
-                    CountingStrategy::Diffset,
-                    CountingStrategy::Hybrid,
-                ] {
-                    let got = mine(&data, &base.clone().with_counting(strategy));
-                    assert_eq!(oracle.levels, got.levels, "{strategy:?} support {support}");
-                    assert_eq!(
-                        oracle.stats.pairs_removed_dependencies,
-                        got.stats.pairs_removed_dependencies,
-                        "{strategy:?} support {support}"
-                    );
-                }
+                let oracle = mine(&data, &base.clone().with_counting(CountingStrategy::PrefixTrie));
+                let got =
+                    mine(&data, &base.clone().with_counting(CountingStrategy::VerticalBitmap));
+                assert_eq!(oracle.levels, got.levels, "support {support}");
+                assert_eq!(
+                    oracle.stats.pairs_removed_dependencies,
+                    got.stats.pairs_removed_dependencies,
+                    "support {support}"
+                );
             }
         }
     }
 
     #[test]
     fn counting_strategy_names_round_trip() {
-        for s in [
-            CountingStrategy::HashSubset,
-            CountingStrategy::PrefixTrie,
-            CountingStrategy::VerticalBitmap,
-            CountingStrategy::Diffset,
-            CountingStrategy::Hybrid,
-            CountingStrategy::Auto,
-        ] {
+        for s in [CountingStrategy::PrefixTrie, CountingStrategy::VerticalBitmap] {
             assert_eq!(CountingStrategy::parse(s.name()), Ok(s));
             assert!(CountingStrategy::ALL_NAMES.contains(&s.name()));
         }
+        assert_eq!(CountingStrategy::parse("trie"), Ok(CountingStrategy::PrefixTrie));
+        assert_eq!(
+            CountingStrategy::parse("vertical-bitmap"),
+            Ok(CountingStrategy::VerticalBitmap)
+        );
         let err = CountingStrategy::parse("quantum").unwrap_err();
         for name in CountingStrategy::ALL_NAMES {
             assert!(err.contains(name), "error must list {name:?}: {err}");
         }
-    }
-
-    #[test]
-    fn auto_resolves_and_matches_the_oracle() {
-        let data = toy();
-        let oracle = mine(
-            &data,
-            &AprioriConfig::apriori(MinSupport::Count(2))
-                .with_counting(CountingStrategy::HashSubset),
-        );
-        let rec = Recorder::new();
-        let auto = mine(
-            &data,
-            &AprioriConfig::apriori(MinSupport::Count(2))
-                .with_counting(CountingStrategy::Auto)
-                .with_recorder(rec.clone()),
-        );
-        assert_eq!(oracle.levels, auto.levels);
-        let metrics = rec.snapshot();
-        let code = metrics.counter("mining/auto_choice").expect("decision recorded");
-        assert!(code > 0, "Auto must resolve to a fixed strategy");
-        assert_eq!(metrics.counter("mining/auto_stats_transactions"), Some(4));
-        assert_eq!(metrics.counter("mining/auto_stats_items"), Some(5));
-        // Degenerate 4-row toy data: the policy picks the trie, and the
-        // named-choice counter mirrors the code.
-        assert_eq!(code, CountingStrategy::PrefixTrie.code());
-        assert_eq!(metrics.counter("mining/auto_choice/prefix-trie"), Some(1));
     }
 
     #[test]
@@ -1121,7 +918,7 @@ mod tests {
                 (0..12).filter(|&i| (t.wrapping_mul(31).wrapping_add(i * 7)) % 3 != 0).collect();
             ts.push(items);
         }
-        for counting in [CountingStrategy::HashSubset, CountingStrategy::PrefixTrie] {
+        for counting in [CountingStrategy::PrefixTrie, CountingStrategy::VerticalBitmap] {
             let serial = mine(
                 &ts,
                 &AprioriConfig::apriori(MinSupport::Fraction(0.2)).with_counting(counting),

@@ -10,27 +10,18 @@
 //!   and everything denser as a [`TidSet`], choosing the representation
 //!   per set so memory tracks density instead of database size;
 //! * [`TriangularC2`] + [`mine_vertical_levels`] — the vertical mining
-//!   engine behind the `bitmap`, `diffset` and `hybrid` counting
-//!   strategies: pass 2 counts **all** of C₂ in one streaming scan of the
-//!   encoded transactions through a triangular array indexed by item-pair
-//!   rank (built after the KC+ filters, so removed pairs never occupy a
-//!   counter), and deeper passes run an Eclat-style equivalence-class
-//!   DFS over materialised TID lists — or, in diffset mode, dEclat
-//!   *diffsets* (`d(P∪{y,z}) = d(P∪z) \ d(P∪y)`), whose memory is
-//!   proportional to support deltas rather than supports. The hybrid mode
-//!   ([`VerticalMode::Hybrid`]) keeps the first lattice level on
-//!   word-packed bitmaps (bounded popcount joins), then flips each
-//!   equivalence class to diffsets below the first recursion level with
-//!   members rank-ordered by ascending support — the dEclat layout that
-//!   keeps every diffset small — so the expensive top-level
-//!   `t(x) \ t(y)` builds from full per-item TID vectors never happen.
+//!   engine behind the `bitmap` counting strategy: pass 2 counts **all**
+//!   of C₂ in one streaming scan of the encoded transactions through a
+//!   triangular array indexed by item-pair rank (built after the KC+
+//!   filters, so removed pairs never occupy a counter), and deeper passes
+//!   run an Eclat-style equivalence-class DFS over materialised
+//!   [`TidList`]s.
 //!
-//! Every path is exact: the engine produces the same itemsets and
-//! supports as horizontal Apriori counting, bit for bit, at any thread
-//! count. Memory for materialised lists and diffsets is *tracked* against
-//! the run's [`MemoryBudget`] (feeding the peak watermark) but never
-//! degrades the output — the vertical strategies are counting backends,
-//! not lossy approximations.
+//! The engine is exact: it produces the same itemsets and supports as
+//! horizontal Apriori counting, bit for bit, at any thread count. Memory
+//! for materialised lists is *tracked* against the run's [`MemoryBudget`]
+//! (feeding the peak watermark) but never degrades the output — the
+//! vertical strategy is a counting backend, not a lossy approximation.
 
 use crate::filter::PairFilter;
 use crate::item::{ItemId, TransactionSet};
@@ -265,32 +256,6 @@ impl TidList {
         }
     }
 
-    /// The TIDs of `self` absent from `other`, ascending — the diffset
-    /// primitive lifted to every representation pair. For two dense lists
-    /// this is a word-wise `a & !b` with bit extraction; mixed and sparse
-    /// pairs fall back to merges, never materialising a bitmap.
-    pub fn difference_tids(&self, other: &TidList) -> Vec<u32> {
-        match (&self.repr, &other.repr) {
-            (TidRepr::Dense(a), TidRepr::Dense(b)) => {
-                let mut out = Vec::new();
-                for (w, &word) in a.words.iter().enumerate() {
-                    let mut bits = word & !b.words.get(w).copied().unwrap_or(0);
-                    while bits != 0 {
-                        let t = bits.trailing_zeros();
-                        out.push((w * 64) as u32 + t);
-                        bits &= bits - 1;
-                    }
-                }
-                out
-            }
-            (TidRepr::Sparse(tids), TidRepr::Dense(set)) => {
-                tids.iter().copied().filter(|&t| !set.contains(t as usize)).collect()
-            }
-            (TidRepr::Dense(_), TidRepr::Sparse(b)) => diff_sorted(&self.tids(), b),
-            (TidRepr::Sparse(a), TidRepr::Sparse(b)) => diff_sorted(a, b),
-        }
-    }
-
     /// Intersection with `other`, re-choosing the result's representation
     /// by its own density.
     pub fn intersect(&self, other: &TidList) -> TidList {
@@ -362,23 +327,6 @@ fn merge_count(a: &[u32], b: &[u32]) -> u64 {
         }
     }
     count
-}
-
-/// Sorted-set difference `a \ b` by two-pointer merge — the diffset
-/// primitive: `d(xy) = t(x) \ t(y)` at the top of the tree and
-/// `d(P∪{y,z}) = d(P∪z) \ d(P∪y)` below it.
-pub fn diff_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::new();
-    let mut j = 0usize;
-    for &x in a {
-        while j < b.len() && b[j] < x {
-            j += 1;
-        }
-        if j == b.len() || b[j] != x {
-            out.push(x);
-        }
-    }
-    out
 }
 
 /// Sentinel for "no rank" / "no counter": this item is infrequent, or
@@ -460,25 +408,6 @@ impl TriangularC2 {
     }
 }
 
-/// Which vertical payload the equivalence-class DFS carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VerticalMode {
-    /// Materialised hybrid [`TidList`]s at every depth, joined by bounded
-    /// popcount / merge intersections.
-    Bitmap,
-    /// dEclat diffsets at every depth below pass 2, including the
-    /// expensive top-level `t(x) \ t(y)` builds from full per-item TID
-    /// vectors.
-    Diffset,
-    /// Bitmaps for the first lattice level (class members are pair TID
-    /// lists built by bounded popcount joins), then a flip to diffsets
-    /// below the first recursion level, with class members rank-ordered
-    /// by ascending support so later joins subtract the larger sets and
-    /// every diffset stays small. Output is bit-identical to both other
-    /// modes; only wall-clock and memory shape change.
-    Hybrid,
-}
-
 /// What [`mine_vertical_levels`] found beyond level 2.
 #[derive(Debug, Default)]
 pub struct VerticalOutcome {
@@ -490,51 +419,21 @@ pub struct VerticalOutcome {
     /// analogue of the candidate count), `attempts_per_level[0]` for k=3.
     pub attempts_per_level: Vec<usize>,
     /// Total `u64` words across the materialised per-item hybrid lists —
-    /// the `mining/bitmap_words` metric (0 in diffset mode).
+    /// the `mining/bitmap_words` metric.
     pub bitmap_words: u64,
-    /// Total bytes across every materialised diffset — the
-    /// `mining/diffset_bytes` metric (0 in bitmap mode; hybrid reports
-    /// both this and `bitmap_words`).
-    pub diffset_bytes: u64,
-}
-
-/// One equivalence-class member during the DFS: the item extending the
-/// class prefix, its support, and the vertical payload (a TID list in
-/// bitmap mode and at the top level of hybrid mode, a diffset in diffset
-/// mode and below the hybrid flip level).
-enum Member {
-    Tids(ItemId, TidList),
-    Diff(ItemId, u64, Vec<u32>),
-}
-
-impl Member {
-    fn item(&self) -> ItemId {
-        match self {
-            Member::Tids(item, _) => *item,
-            Member::Diff(item, _, _) => *item,
-        }
-    }
-
-    fn support(&self) -> u64 {
-        match self {
-            Member::Tids(_, t) => t.support(),
-            Member::Diff(_, support, _) => *support,
-        }
-    }
 }
 
 /// Mines every frequent itemset of size ≥ 3 from the frequent items `l1`
 /// and the frequent post-filter pairs `l2` by equivalence-class DFS over
-/// vertical structures, in the payload discipline chosen by `mode` —
-/// materialised hybrid [`TidList`]s, dEclat diffsets, or the
-/// bitmap-then-diffset hybrid (see [`VerticalMode`]).
+/// materialised hybrid [`TidList`]s. Each class member is an item
+/// extending the class prefix together with the TID list of
+/// `prefix ∪ {item}`.
 ///
 /// Classes (one per first item of an `l2` pair) are independent, so they
 /// fan out on the pool; per-class results are merged in item order and
 /// each output level is sorted lexicographically, so the output — and
-/// every metric derived from it — is identical at any thread count *and*
-/// for any member ordering a mode chooses internally (hybrid rank-orders
-/// members by ascending support). Memory for materialised lists is
+/// every metric derived from it — is identical at any thread count.
+/// Memory for materialised lists is
 /// reserved against `budget` for the lifetime of each class (feeding the
 /// peak watermark) but never rejects work: the vertical engine is an
 /// exact counting backend, not a degradation point.
@@ -545,7 +444,6 @@ pub fn mine_vertical_levels(
     l2: &[FrequentItemset],
     threshold: u64,
     filter: &PairFilter,
-    mode: VerticalMode,
     threads: Threads,
     cancel: &CancelToken,
     budget: &MemoryBudget,
@@ -572,13 +470,10 @@ pub fn mine_vertical_levels(
             }
         }
     }
-    // Bitmap and hybrid modes materialise the hybrid per-item lists
-    // once, shared read-only by every class.
-    let item_lists: Vec<TidList> = if mode == VerticalMode::Diffset {
-        Vec::new()
-    } else {
-        item_tids.iter().map(|tids| TidList::from_sorted_tids(n, tids.clone())).collect()
-    };
+    // The hybrid per-item lists, materialised once and shared read-only
+    // by every class.
+    let item_lists: Vec<TidList> =
+        item_tids.into_iter().map(|tids| TidList::from_sorted_tids(n, tids)).collect();
     outcome.bitmap_words = item_lists.iter().map(|l| l.words() as u64).sum();
 
     // Group `l2` (lexicographic) into equivalence classes by first item.
@@ -597,7 +492,6 @@ pub fn mine_vertical_levels(
     struct ClassResult {
         found: Vec<FrequentItemset>,
         attempts: Vec<usize>,
-        diffset_bytes: u64,
     }
 
     let per_class = try_par_map(
@@ -606,39 +500,23 @@ pub fn mine_vertical_levels(
         "mining/apriori.vertical",
         &classes,
         |_, &(root_rank, pairs)| {
-            let mut res =
-                ClassResult { found: Vec::new(), attempts: Vec::new(), diffset_bytes: 0 };
+            let mut res = ClassResult { found: Vec::new(), attempts: Vec::new() };
             if pairs.len() < 2 {
                 return res; // nothing to join: no 3-set can form here
             }
             // Materialise the class members. Supports come from the
             // triangular pass-2 counts carried in `l2` — never recounted.
             let mut member_bytes = 0usize;
-            let mut members: Vec<Member> = pairs
+            let members: Vec<(ItemId, TidList)> = pairs
                 .iter()
                 .map(|pair| {
                     let z = pair.items[1];
                     let zr = rank[z as usize] as usize;
-                    if mode == VerticalMode::Diffset {
-                        let d = diff_sorted(&item_tids[root_rank], &item_tids[zr]);
-                        res.diffset_bytes += (d.len() * std::mem::size_of::<u32>()) as u64;
-                        member_bytes += d.len() * std::mem::size_of::<u32>();
-                        Member::Diff(z, pair.support, d)
-                    } else {
-                        let joined = item_lists[root_rank].intersect(&item_lists[zr]);
-                        member_bytes += joined.approx_bytes();
-                        Member::Tids(z, joined)
-                    }
+                    let joined = item_lists[root_rank].intersect(&item_lists[zr]);
+                    member_bytes += joined.approx_bytes();
+                    (z, joined)
                 })
                 .collect();
-            // Hybrid rank-orders members by ascending support so each
-            // member joins with larger-support partners, keeping the
-            // diffsets built at the flip level small. The item id breaks
-            // ties for determinism; the DFS enumerates the same itemset
-            // set in any member order, and emitted itemsets are sorted.
-            if mode == VerticalMode::Hybrid {
-                members.sort_by_key(|m| (m.support(), m.item()));
-            }
             // Track-only reservation for the lifetime of the class.
             let _ = budget.reserve(member_bytes);
             let root = pairs[0].items[0];
@@ -649,10 +527,8 @@ pub fn mine_vertical_levels(
                 0,
                 threshold,
                 filter,
-                mode,
                 budget,
                 &mut res.attempts,
-                &mut res.diffset_bytes,
                 &mut res.found,
             );
             budget.release(member_bytes);
@@ -669,7 +545,6 @@ pub fn mine_vertical_levels(
             }
             outcome.attempts_per_level[depth] += attempts;
         }
-        outcome.diffset_bytes += res.diffset_bytes;
         found.extend(res.found);
     }
 
@@ -696,103 +571,52 @@ pub fn mine_vertical_levels(
 /// pair inside `prefix ∪ {yᵢ}` was checked when its members entered a
 /// class, and `(p, yⱼ)` for `p ∈ prefix` was checked when `yⱼ` entered
 /// the *current* class.
-///
-/// In [`VerticalMode::Hybrid`] the TID-list level is depth 0 and every
-/// child class it produces is diffsets: the join counts on bitmaps with
-/// a bounded popcount, then builds `d(P∪{yᵢ,yⱼ}) = t(P∪yᵢ) \ t(P∪yⱼ)`
-/// directly from the two lists, skipping the full top-level
-/// `t(x) \ t(y)` vectors that pure diffset mode pays for. Because hybrid
-/// members are rank-ordered by support rather than item id, emitted
-/// itemsets are sorted before being pushed.
 #[allow(clippy::too_many_arguments)]
 fn extend_class(
-    members: &[Member],
+    members: &[(ItemId, TidList)],
     prefix: &mut Vec<ItemId>,
     depth: usize,
     threshold: u64,
     filter: &PairFilter,
-    mode: VerticalMode,
     budget: &MemoryBudget,
     attempts: &mut Vec<usize>,
-    diffset_bytes: &mut u64,
     out: &mut Vec<FrequentItemset>,
 ) {
     if attempts.len() <= depth {
         attempts.push(0);
     }
-    let flip = mode == VerticalMode::Hybrid;
-    for i in 0..members.len() {
-        let mut new_members: Vec<Member> = Vec::new();
+    for (i, (yi, ti)) in members.iter().enumerate() {
+        let mut new_members: Vec<(ItemId, TidList)> = Vec::new();
         let mut new_bytes = 0usize;
-        for j in (i + 1)..members.len() {
-            let (yi, yj) = (members[i].item(), members[j].item());
-            if filter.blocks(yi, yj) {
+        for (yj, tj) in &members[i + 1..] {
+            if filter.blocks(*yi, *yj) {
                 continue;
             }
             attempts[depth] += 1;
-            match (&members[i], &members[j]) {
-                (Member::Tids(_, ti), Member::Tids(_, tj)) => {
-                    // Bounded count first: most joins fail the support
-                    // check, and the bound aborts without materialising.
-                    let Some(support) = ti.intersection_count_bounded(tj, threshold) else {
-                        continue;
-                    };
-                    let mut items = prefix.clone();
-                    items.push(yi);
-                    items.push(yj);
-                    if flip {
-                        items.sort_unstable();
-                    }
-                    out.push(FrequentItemset { items, support });
-                    if flip {
-                        // d(P∪{yᵢ,yⱼ}) = t(P∪yᵢ) \ t(P∪yⱼ), built from
-                        // the lists already in hand — no full per-item
-                        // TID vectors involved.
-                        let d = ti.difference_tids(tj);
-                        *diffset_bytes += (d.len() * std::mem::size_of::<u32>()) as u64;
-                        new_bytes += d.len() * std::mem::size_of::<u32>();
-                        new_members.push(Member::Diff(yj, support, d));
-                    } else {
-                        let joined = ti.intersect(tj);
-                        new_bytes += joined.approx_bytes();
-                        new_members.push(Member::Tids(yj, joined));
-                    }
-                }
-                (Member::Diff(_, sup_i, di), Member::Diff(_, _, dj)) => {
-                    // d(P∪{yᵢ,yⱼ}) = d(P∪yⱼ) \ d(P∪yᵢ);
-                    // sup(P∪{yᵢ,yⱼ}) = sup(P∪yᵢ) − |d(P∪{yᵢ,yⱼ})|.
-                    let d = diff_sorted(dj, di);
-                    let support = sup_i - d.len() as u64;
-                    if support < threshold {
-                        continue;
-                    }
-                    let mut items = prefix.clone();
-                    items.push(yi);
-                    items.push(yj);
-                    if flip {
-                        items.sort_unstable();
-                    }
-                    out.push(FrequentItemset { items, support });
-                    *diffset_bytes += (d.len() * std::mem::size_of::<u32>()) as u64;
-                    new_bytes += d.len() * std::mem::size_of::<u32>();
-                    new_members.push(Member::Diff(yj, support, d));
-                }
-                _ => unreachable!("a class never mixes member representations"),
-            }
+            // Bounded count first: most joins fail the support check, and
+            // the bound aborts without materialising.
+            let Some(support) = ti.intersection_count_bounded(tj, threshold) else {
+                continue;
+            };
+            let mut items = prefix.clone();
+            items.push(*yi);
+            items.push(*yj);
+            out.push(FrequentItemset { items, support });
+            let joined = ti.intersect(tj);
+            new_bytes += joined.approx_bytes();
+            new_members.push((*yj, joined));
         }
         if new_members.len() >= 2 {
             let _ = budget.reserve(new_bytes);
-            prefix.push(members[i].item());
+            prefix.push(*yi);
             extend_class(
                 &new_members,
                 prefix,
                 depth + 1,
                 threshold,
                 filter,
-                mode,
                 budget,
                 attempts,
-                diffset_bytes,
                 out,
             );
             prefix.pop();
@@ -871,8 +695,7 @@ mod tests {
 
     #[test]
     fn sparse_factor_boundary_pins_representation_re_choice() {
-        // The auto policy reasons about density against SPARSE_FACTOR, so
-        // the exact boundary is a contract: a set of `count` TIDs over `n`
+        // The exact boundary is a contract: a set of `count` TIDs over `n`
         // transactions is sparse iff `count * SPARSE_FACTOR < n`.
         let n = 4096;
         let boundary = n / SPARSE_FACTOR; // 128: first dense cardinality
@@ -893,44 +716,6 @@ mod tests {
             list(n, &a).intersect(&list(n, &(hi_start + 1..4096).collect::<Vec<u32>>()));
         assert_eq!(overlap_below.support(), boundary as u64 - 1);
         assert!(!overlap_below.is_dense(), "one below the boundary must re-choose sparse");
-    }
-
-    #[test]
-    fn difference_tids_matches_diff_sorted_across_representations() {
-        let n = 2048;
-        let a_tids: Vec<u32> = (0..n as u32).filter(|t| t % 3 == 0).collect(); // dense
-        let b_tids: Vec<u32> = (0..n as u32).filter(|t| t % 5 == 0).collect(); // dense
-        let c_tids: Vec<u32> = (0..n as u32).filter(|t| t % 97 == 0).collect(); // sparse
-        let a = list(n, &a_tids);
-        let b = list(n, &b_tids);
-        let c = list(n, &c_tids);
-        assert!(a.is_dense() && b.is_dense() && !c.is_dense());
-        for (x, xt, y, yt) in [
-            (&a, &a_tids, &b, &b_tids), // dense \ dense
-            (&a, &a_tids, &c, &c_tids), // dense \ sparse
-            (&c, &c_tids, &a, &a_tids), // sparse \ dense
-            (&c, &c_tids, &c, &c_tids), // sparse \ sparse
-        ] {
-            assert_eq!(x.difference_tids(y), diff_sorted(xt, yt));
-        }
-        // Support arithmetic the hybrid flip relies on:
-        // sup(x∩y) = sup(x) − |t(x) \ t(y)|.
-        assert_eq!(
-            a.support() - a.difference_tids(&b).len() as u64,
-            a.intersection_count(&b)
-        );
-    }
-
-    #[test]
-    fn diff_sorted_is_set_difference() {
-        assert_eq!(diff_sorted(&[1, 2, 3, 5, 8], &[2, 5, 9]), vec![1, 3, 8]);
-        assert_eq!(diff_sorted(&[], &[1]), Vec::<u32>::new());
-        assert_eq!(diff_sorted(&[4, 7], &[]), vec![4, 7]);
-        // Support reconstruction: |t(x)| − |t(x)\t(y)| = |t(x)∩t(y)|.
-        let x: Vec<u32> = (0..100).filter(|t| t % 2 == 0).collect();
-        let y: Vec<u32> = (0..100).filter(|t| t % 3 == 0).collect();
-        let inter = x.iter().filter(|t| y.contains(t)).count();
-        assert_eq!(x.len() - diff_sorted(&x, &y).len(), inter);
     }
 
     #[test]

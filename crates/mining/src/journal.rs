@@ -430,7 +430,7 @@ mod tests {
     #[test]
     fn apriori_resumes_bit_identically_from_any_journal_prefix() {
         let data = toy();
-        for counting in [CountingStrategy::HashSubset, CountingStrategy::VerticalBitmap] {
+        for counting in [CountingStrategy::PrefixTrie, CountingStrategy::VerticalBitmap] {
             let config = AprioriConfig::apriori(MinSupport::Count(1)).with_counting(counting);
             let control = mine(&data, &config);
             let dir = Scratch::new(&format!("apriori-{}", counting.name()));
@@ -470,7 +470,7 @@ mod tests {
         // written by the horizontal engine seeds the vertical one.
         let data = toy();
         let horizontal = AprioriConfig::apriori(MinSupport::Count(1))
-            .with_counting(CountingStrategy::HashSubset);
+            .with_counting(CountingStrategy::PrefixTrie);
         let control = mine(&data, &horizontal);
         let dir = Scratch::new("cross-strategy");
         let full = Journal::create(dir.path("full.journal"), 1).unwrap();

@@ -49,7 +49,11 @@ impl FrequentItemset {
 /// Statistics of one mining run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MiningStats {
-    /// Candidates generated per pass (index 0 = k=1).
+    /// Candidates generated per pass (index 0 = k=1). Horizontal Apriori
+    /// stores `apriori_gen` counts (after the C₂ filter at k = 2); vertical
+    /// runs ([`crate::CountingStrategy::VerticalBitmap`]) store their DFS
+    /// join attempts at k ≥ 3 instead, which can exceed `apriori_gen`'s
+    /// count because the DFS has no subset-prune step.
     pub candidates_per_level: Vec<usize>,
     /// Frequent sets found per pass (index 0 = k=1).
     pub frequent_per_level: Vec<usize>,

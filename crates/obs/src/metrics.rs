@@ -195,7 +195,7 @@ impl Metrics {
     }
 
     /// Counters whose name starts with `prefix`, in name order — how
-    /// families like `mining/auto_stats_*` are read back as a group.
+    /// families like `robust/resume_*` are read back as a group.
     /// `BTreeMap` range scan: cost is proportional to the matches, not
     /// the counter population.
     pub fn counters_with_prefix<'a>(
@@ -337,14 +337,14 @@ mod tests {
     #[test]
     fn counters_with_prefix_scans_the_family() {
         let mut m = Metrics::new();
-        m.add_counter("mining/auto_choice", 5);
-        m.add_counter("mining/auto_stats_items", 17);
-        m.add_counter("mining/auto_stats_transactions", 60000);
-        m.add_counter("mining/bitmap_words", 99);
-        let family: Vec<(&str, u64)> = m.counters_with_prefix("mining/auto_stats_").collect();
+        m.add_counter("robust/journal_bytes", 5);
+        m.add_counter("robust/resume_levels_skipped", 17);
+        m.add_counter("robust/resume_tiles_skipped", 60000);
+        m.add_counter("robust/retries", 99);
+        let family: Vec<(&str, u64)> = m.counters_with_prefix("robust/resume_").collect();
         assert_eq!(
             family,
-            vec![("mining/auto_stats_items", 17), ("mining/auto_stats_transactions", 60000)]
+            vec![("robust/resume_levels_skipped", 17), ("robust/resume_tiles_skipped", 60000)]
         );
         assert_eq!(m.counters_with_prefix("nope/").count(), 0);
     }

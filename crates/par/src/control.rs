@@ -279,56 +279,6 @@ impl Drop for BudgetGuard<'_> {
     }
 }
 
-/// A shared, thread-safe record of completed shards (tiles, partitions —
-/// any unit of sharded work identified by its index).
-///
-/// Workers call [`ShardLog::mark`] after finishing a shard; an observer —
-/// a coordinator reassigning work after a fault, or the fault-injection
-/// harness asserting what survived a mid-run cancellation — reads the
-/// completed set afterwards. Marks are monotone (a shard is never
-/// unmarked), so the log is a checkpoint: after an interrupted run it
-/// names exactly the shards whose work finished, which is what a
-/// multi-process fan-out needs to resume without redoing them.
-///
-/// Cheap to clone (shared state behind an [`Arc`]); the default log is
-/// empty and independent per `ShardLog::default()` call.
-#[derive(Debug, Clone, Default)]
-pub struct ShardLog {
-    done: Arc<std::sync::Mutex<std::collections::BTreeSet<usize>>>,
-}
-
-impl ShardLog {
-    /// An empty log.
-    pub fn new() -> ShardLog {
-        ShardLog::default()
-    }
-
-    /// Records shard `shard` as completed. Idempotent.
-    pub fn mark(&self, shard: usize) {
-        self.done.lock().expect("shard log poisoned").insert(shard);
-    }
-
-    /// True when `shard` has been marked completed.
-    pub fn is_done(&self, shard: usize) -> bool {
-        self.done.lock().expect("shard log poisoned").contains(&shard)
-    }
-
-    /// The completed shards, ascending.
-    pub fn completed(&self) -> Vec<usize> {
-        self.done.lock().expect("shard log poisoned").iter().copied().collect()
-    }
-
-    /// Number of completed shards.
-    pub fn len(&self) -> usize {
-        self.done.lock().expect("shard log poisoned").len()
-    }
-
-    /// True when nothing has completed yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Renders a panic payload as text (the common `&str`/`String` payloads;
 /// anything else becomes a placeholder).
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -418,21 +368,6 @@ mod tests {
         }
         assert_eq!(b.used(), 0);
         assert_eq!(b.peak(), 16, "the failed attempt still moved the peak");
-    }
-
-    #[test]
-    fn shard_log_is_shared_and_monotone() {
-        let log = ShardLog::new();
-        assert!(log.is_empty());
-        let clone = log.clone();
-        clone.mark(3);
-        clone.mark(1);
-        clone.mark(3); // idempotent
-        assert_eq!(log.completed(), vec![1, 3]);
-        assert_eq!(log.len(), 2);
-        assert!(log.is_done(3) && !log.is_done(0));
-        // Default logs are independent, not globally shared.
-        assert!(ShardLog::default().is_empty());
     }
 
     #[test]

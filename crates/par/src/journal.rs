@@ -1,5 +1,4 @@
-//! Durable on-disk job journal: the persistent generalisation of
-//! [`ShardLog`](crate::ShardLog).
+//! Durable on-disk job journal: the checkpoint record of completed work.
 //!
 //! A [`Journal`] is an append-only file of checksummed records, each
 //! identifying one completed unit of work — a tile, a lattice level, an

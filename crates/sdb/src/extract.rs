@@ -55,7 +55,7 @@ use crate::feature::{Feature, Layer};
 use crate::predicate_table::{Predicate, PredicateTable};
 use geopattern_geom::{take_kernel_counters, GeomDim, IntersectionMatrix, PreparedGeometry};
 use geopattern_obs::{Metrics, Recorder};
-use geopattern_par::{try_par_map, CancelToken, Interrupt, Journal, MemoryBudget, ShardLog, Threads};
+use geopattern_par::{try_par_map, CancelToken, Interrupt, Journal, MemoryBudget, Threads};
 use geopattern_qsr::{
     classify, geometry_direction, DistanceScheme, SpatialPredicate, TopologicalRelation,
 };
@@ -128,14 +128,11 @@ pub struct ExtractionConfig {
     /// path reserves/releases its materialised sub-layers so the
     /// high-water mark is observable); it never degrades the output.
     pub budget: MemoryBudget,
-    /// Optional per-tile checkpoint log: under [`Tiling::Grid`], each tile
-    /// is marked completed once all its rows finished un-interrupted, so
-    /// after a fault the log names exactly the finished shards.
-    pub shard_log: Option<ShardLog>,
-    /// Optional durable journal: under [`Tiling::Grid`], each completed
-    /// tile's rows are persisted as they finish, and tiles already present
-    /// in the journal are *reloaded instead of re-extracted* — the on-disk
-    /// generalisation of `shard_log`. The caller is responsible for
+    /// Optional durable journal, the per-tile checkpoint: under
+    /// [`Tiling::Grid`], each tile's rows are persisted once all of them
+    /// finished un-interrupted (so after a fault the journal names exactly
+    /// the finished tiles), and tiles already present in the journal are
+    /// *reloaded instead of re-extracted*. The caller is responsible for
     /// matching the journal to the run (the journal's fingerprint guards
     /// this at the CLI level); resumed output is bit-identical to an
     /// uninterrupted run at any thread count. Resumed tiles skip their
@@ -158,7 +155,6 @@ impl Default for ExtractionConfig {
             recorder: Recorder::disabled(),
             cancel: CancelToken::none(),
             budget: MemoryBudget::unlimited(),
-            shard_log: None,
             journal: None,
         }
     }
@@ -210,13 +206,6 @@ impl ExtractionConfig {
     /// Attaches a memory budget (track-only for extraction).
     pub fn with_budget(mut self, budget: MemoryBudget) -> ExtractionConfig {
         self.budget = budget;
-        self
-    }
-
-    /// Attaches a per-tile checkpoint log (effective under
-    /// [`Tiling::Grid`]).
-    pub fn with_shard_log(mut self, log: ShardLog) -> ExtractionConfig {
-        self.shard_log = Some(log);
         self
     }
 

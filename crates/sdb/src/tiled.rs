@@ -35,13 +35,10 @@
 //! * each tile checks the config's [`CancelToken`] between rows (and
 //!   inside rows, like the flat path), and the deterministic fail point
 //!   `sdb/extract.tile` fires at tile starts;
-//! * a configured [`ShardLog`](geopattern_par::ShardLog) records exactly
-//!   the tiles that completed all their rows un-interrupted — the
-//!   checkpoint a retry would resume from;
-//! * a configured [`Journal`](geopattern_par::Journal) is the *durable*
-//!   version of the same checkpoint: a completed tile's rows (predicates,
-//!   stats, and footprint) are appended the moment the tile finishes, and
-//!   a tile already present in the journal is decoded and returned
+//! * a configured [`Journal`](geopattern_par::Journal) is the checkpoint:
+//!   exactly the tiles that completed all their rows un-interrupted have
+//!   their rows (predicates, stats, and footprint) appended the moment the
+//!   tile finishes, and a tile already present in the journal is decoded and returned
 //!   instead of re-extracted (`robust/resume_tiles_skipped` counts them).
 //!   Because the merge below consumes per-tile batches in global row
 //!   order either way, a resumed run's table — predicate numbering
@@ -144,9 +141,6 @@ pub(crate) fn extract_tiled(
             let batch = extract_one_tile(task, reference, &layers, config, full_scan, buffer, record);
             // A tile whose row loop was cut short must not checkpoint.
             if !cancel.interrupted() {
-                if let Some(log) = &config.shard_log {
-                    log.mark(tile);
-                }
                 if let Some(journal) = &config.journal {
                     // Best-effort: a full disk must not fail the run — the
                     // tile simply isn't resumable.
@@ -312,7 +306,7 @@ mod tests {
     use crate::feature::Feature;
     use geopattern_geom::{coord, Point, Polygon};
     use geopattern_obs::Recorder;
-    use geopattern_par::{CancelToken, MemoryBudget, ShardLog, Threads};
+    use geopattern_par::{CancelToken, Journal, MemoryBudget, Threads};
     use geopattern_qsr::DistanceScheme;
 
     /// A 6×6 grid of districts with slums and schools scattered around,
@@ -478,37 +472,44 @@ mod tests {
     fn shard_log_checkpoints_completed_tiles_only() {
         use geopattern_testkit::failpoint;
         let (districts, slums, _schools) = scene();
+        let dir = std::env::temp_dir()
+            .join(format!("geopattern-tile-checkpoint-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let shards = |journal: &Journal| -> Vec<u64> {
+            journal.records(TILE_KIND).into_iter().map(|(shard, _)| shard).collect()
+        };
 
         // Un-interrupted run: every tile checkpoints.
-        let log = ShardLog::new();
+        let journal = Journal::create(dir.join("clean.journal"), 3).unwrap();
         let config = ExtractionConfig::topological_only()
             .with_tiling(Tiling::Grid { tiles_per_axis: 2 })
-            .with_shard_log(log.clone());
+            .with_journal(journal.clone());
         extract_predicates(&districts, &[&slums], &config).unwrap();
-        assert_eq!(log.completed(), vec![0, 1, 2, 3]);
+        assert_eq!(shards(&journal), vec![0, 1, 2, 3]);
 
         // Serial run cancelled by the fail point at the first tile's
-        // start: the interrupted tile must not checkpoint, so the log
+        // start: the interrupted tile must not checkpoint, so the journal
         // stays empty, deterministically.
-        let log = ShardLog::new();
+        let journal = Journal::create(dir.join("cancelled.journal"), 3).unwrap();
         failpoint::activate("sdb/extract.tile", failpoint::FailAction::Cancel, 1.0, 11);
         let err = extract_predicates(
             &districts,
             &[&slums],
             &ExtractionConfig::topological_only()
                 .with_tiling(Tiling::Grid { tiles_per_axis: 2 })
-                .with_shard_log(log.clone())
+                .with_journal(journal.clone())
                 .with_cancel(CancelToken::new()),
         )
         .unwrap_err();
         failpoint::deactivate("sdb/extract.tile");
         assert_eq!(err, Interrupt::Cancelled);
-        assert!(log.is_empty(), "an interrupted tile must not checkpoint");
+        assert!(shards(&journal).is_empty(), "an interrupted tile must not checkpoint");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn journaled_tiles_resume_bit_identical() {
-        use geopattern_par::Journal;
         let (districts, slums, schools) = scene();
         let relevant = [&slums, &schools];
         let dir = std::env::temp_dir()

@@ -81,7 +81,7 @@ code=$?
 set -e
 test "$code" -eq 2 || { echo "expected exit 2 on journal fingerprint mismatch, got $code"; exit 1; }
 
-echo "==> strategy-equivalence gate (all counting backends incl. hybrid/auto bit-identical; choose() pure)"
+echo "==> strategy-equivalence gate (prefix-trie, bitmap and eclat bit-identical; bitmap records pass-3 joins, not candidates)"
 cargo test --release -q -p geopattern-integration --test strategy_equivalence
 cargo test --release -q -p geopattern-integration --test bitmap_properties
 
@@ -95,7 +95,7 @@ echo "==> experiments scaling (emits BENCH_scaling.json, default grid)"
 cargo run --release -q -p geopattern-bench --bin experiments -- scaling
 test -s BENCH_scaling.json
 
-echo "==> experiments counting smoke (emits BENCH_counting.json; bitmap > hash-subset, hybrid ≥ 3x hash-subset, auto ≤ 1.15x best fixed)"
+echo "==> experiments counting smoke (emits BENCH_counting.json; bitmap ≥ 3x prefix-trie)"
 cargo run --release -q -p geopattern-bench --bin experiments -- counting --check
 test -s BENCH_counting.json
 

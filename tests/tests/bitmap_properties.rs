@@ -1,13 +1,13 @@
 //! Property tests for the hybrid vertical TID representations.
 //!
-//! The dense [`TidSet`] bitmap, the hybrid [`TidList`] (which may choose
-//! a sorted-`u32` sparse form), and the [`diff_sorted`] diffset primitive
-//! must agree **exactly** with a naive sorted-vector model on seeded
-//! random inputs — including adversarial densities pinned to the
-//! [`SPARSE_FACTOR`] boundary and word-boundary universe sizes. Several
-//! thousand generated cases per run; every check is exact equality.
+//! The dense [`TidSet`] bitmap and the hybrid [`TidList`] (which may
+//! choose a sorted-`u32` sparse form) must agree **exactly** with a naive
+//! sorted-vector model on seeded random inputs — including adversarial
+//! densities pinned to the [`SPARSE_FACTOR`] boundary and word-boundary
+//! universe sizes. Several thousand generated cases per run; every check
+//! is exact equality.
 
-use geopattern_mining::{diff_sorted, TidList, TidSet, SPARSE_FACTOR};
+use geopattern_mining::{TidList, TidSet, SPARSE_FACTOR};
 use geopattern_testkit::Rng;
 
 /// Universe sizes: word boundaries (63/64/65, 127/128) plus small and
@@ -60,11 +60,6 @@ fn model_intersection(a: &[u32], b: &[u32]) -> Vec<u32> {
     a.iter().copied().filter(|x| b.binary_search(x).is_ok()).collect()
 }
 
-/// Naive model: sorted-vector difference `a \ b`.
-fn model_difference(a: &[u32], b: &[u32]) -> Vec<u32> {
-    a.iter().copied().filter(|x| b.binary_search(x).is_err()).collect()
-}
-
 /// One seeded pair of sets: every representation and every bounded-min
 /// variant must match the naive model exactly.
 fn check_pair(n: usize, a: &[u32], b: &[u32]) {
@@ -104,11 +99,6 @@ fn check_pair(n: usize, a: &[u32], b: &[u32]) {
     assert_eq!(joined.tids(), expected, "n={n}");
     assert_eq!(joined.support(), exact);
     assert_eq!(joined.is_dense(), expected.len() * SPARSE_FACTOR >= n);
-
-    // Diffset support reconstruction: sup(xy) = sup(x) − |t(x) \ t(y)|.
-    let d = diff_sorted(a, b);
-    assert_eq!(d, model_difference(a, b), "n={n}");
-    assert_eq!(a.len() - d.len(), exact as usize, "n={n}");
 }
 
 #[test]
@@ -121,7 +111,7 @@ fn hybrid_representations_match_naive_model_exactly() {
             check_pair(n, &a, &b);
         }
     }
-    // 800 pairs × (3 exact + 18 bounded + round-trip + diffset) ≈ 19k
+    // 800 pairs × (3 exact + 18 bounded + round-trip) ≈ 18k
     // exact-equality checks per run, all seeded.
 }
 
@@ -153,32 +143,6 @@ fn forced_mixed_representation_intersections_match() {
                 let want = (expected.len() as u64 >= min).then_some(expected.len() as u64);
                 assert_eq!(ls.intersection_count_bounded(&ld, min), want);
             }
-        }
-    }
-}
-
-/// The dEclat recursion identity on seeded prefixes: with `t(P) = p`,
-/// `t(P∪y) = a ⊆ p`, `t(P∪z) = b ⊆ p`, the nested diffset
-/// `d(P∪{y,z}) = d(P∪z) \ d(P∪y)` must equal `t(P∪y) \ t(P∪z)` and
-/// reconstruct the join support as `sup(P∪y) − |d(P∪{y,z})|`.
-#[test]
-fn diffset_recursion_reconstructs_supports() {
-    let mut rng = Rng::seed_from_u64(0xdec1a7);
-    for &n in &SIZES {
-        for _ in 0..60 {
-            let p = sample(&mut rng, n);
-            let keep_a = rng.f64();
-            let keep_b = rng.f64();
-            let a: Vec<u32> = p.iter().copied().filter(|_| rng.chance(keep_a)).collect();
-            let b: Vec<u32> = p.iter().copied().filter(|_| rng.chance(keep_b)).collect();
-
-            let d_py = diff_sorted(&p, &a);
-            let d_pz = diff_sorted(&p, &b);
-            let d_join = diff_sorted(&d_pz, &d_py);
-            assert_eq!(d_join, model_difference(&a, &b), "n={n}");
-
-            let support = a.len() - d_join.len();
-            assert_eq!(support, model_intersection(&a, &b).len(), "n={n}");
         }
     }
 }

@@ -341,26 +341,25 @@ fn four_miners_agree() {
 }
 
 /// Downward closure holds for every mined result, and both counting
-/// backends agree.
+/// backends agree with Eclat, an independent oracle.
 #[test]
 fn downward_closure_and_backends() {
-    use geopattern_mining::CountingStrategy;
+    use geopattern_mining::{mine_eclat, CountingStrategy, EclatConfig};
+    let sorted = |r: &geopattern_mining::MiningResult| {
+        let mut v: Vec<(Vec<u32>, u64)> = r.all().map(|f| (f.items.clone(), f.support)).collect();
+        v.sort();
+        v
+    };
     let mut rng = Rng::seed_from_u64(0xA00B);
     for case in 0..150 {
         let (ts, _) = random_transactions(&mut rng);
         let support = MinSupport::Count(1 + rng.below(4));
-        let hash = mine(
-            &ts,
-            &AprioriConfig::apriori(support).with_counting(CountingStrategy::HashSubset),
-        );
-        let trie = mine(
-            &ts,
-            &AprioriConfig::apriori(support).with_counting(CountingStrategy::PrefixTrie),
-        );
-        assert!(hash.check_downward_closure(), "case {case}");
-        let h: Vec<_> = hash.all().map(|f| (f.items.clone(), f.support)).collect();
-        let t: Vec<_> = trie.all().map(|f| (f.items.clone(), f.support)).collect();
-        assert_eq!(h, t, "case {case}");
+        let oracle = sorted(&mine_eclat(&ts, &EclatConfig::new(support)));
+        for strategy in [CountingStrategy::PrefixTrie, CountingStrategy::VerticalBitmap] {
+            let got = mine(&ts, &AprioriConfig::apriori(support).with_counting(strategy));
+            assert!(got.check_downward_closure(), "{strategy:?} case {case}");
+            assert_eq!(sorted(&got), oracle, "{strategy:?} case {case}");
+        }
     }
 }
 

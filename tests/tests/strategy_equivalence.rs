@@ -1,14 +1,11 @@
 //! Counting-strategy equivalence on the paper's experiment datasets.
 //!
-//! Every support-counting backend — `hash-subset`, `prefix-trie`,
-//! `eclat`, the vertical `bitmap` / `diffset` / `hybrid` engines, and
-//! the workload-sampled `auto` selector — must produce bit-identical
-//! frequent itemsets, supports, and association rules on the Figure-5
-//! (Experiment 1) and Figure-7 (Experiment 2) datasets, at 1/2/8
-//! threads, with and without KC+ filtering, and the vertical strategies
-//! must honour cancellation and memory-budget tracking without changing
-//! output. The `auto` policy itself must be a pure function of its
-//! sampled stats.
+//! Every support-counting backend — `prefix-trie`, the vertical `bitmap`
+//! engine, and `eclat` — must produce bit-identical frequent itemsets,
+//! supports, and association rules on the Figure-5 (Experiment 1) and
+//! Figure-7 (Experiment 2) datasets, at 1/2/8 threads, with and without
+//! KC+ filtering, and the vertical strategy must honour cancellation and
+//! memory-budget tracking without changing output.
 //!
 //! The CI host may be single-core, which would clamp every "parallel"
 //! run to the serial path; the tests widen the reported host via
@@ -16,8 +13,8 @@
 
 use geopattern_datagen::experiments::{experiment1, experiment2, Experiment};
 use geopattern_mining::{
-    choose, generate_rules, mine, mine_eclat, try_mine, AprioriConfig, CountingStrategy,
-    EclatConfig, MiningResult, PairFilter, WorkloadStats,
+    generate_rules, mine, mine_eclat, try_mine, AprioriConfig, CountingStrategy, EclatConfig,
+    MiningResult, PairFilter,
 };
 use geopattern::Recorder;
 use geopattern_par::{CancelToken, Interrupt, MemoryBudget, Threads};
@@ -28,20 +25,8 @@ fn wide_host() {
     std::env::set_var("GEOPATTERN_HOST_PARALLELISM", "8");
 }
 
-const STRATEGIES: [CountingStrategy; 6] = [
-    CountingStrategy::HashSubset,
-    CountingStrategy::PrefixTrie,
-    CountingStrategy::VerticalBitmap,
-    CountingStrategy::Diffset,
-    CountingStrategy::Hybrid,
-    CountingStrategy::Auto,
-];
-
-const VERTICAL_STRATEGIES: [CountingStrategy; 3] = [
-    CountingStrategy::VerticalBitmap,
-    CountingStrategy::Diffset,
-    CountingStrategy::Hybrid,
-];
+const STRATEGIES: [CountingStrategy; 2] =
+    [CountingStrategy::PrefixTrie, CountingStrategy::VerticalBitmap];
 
 fn config(e: &Experiment, sup: f64, filtered: bool) -> AprioriConfig {
     let minsup = geopattern_mining::MinSupport::Fraction(sup);
@@ -111,176 +96,92 @@ fn all_strategies_identical_on_fig5_and_fig7() {
     }
 }
 
-/// A pre-cancelled token interrupts the vertical engines before any
-/// output is produced, exactly like the horizontal ones.
+/// A pre-cancelled token interrupts the vertical engine before any
+/// output is produced, exactly like the horizontal one.
 #[test]
 fn vertical_strategies_honour_cancellation() {
     wide_host();
     let e = experiment1(32);
     let token = CancelToken::new();
     token.cancel();
-    for strategy in [
-        CountingStrategy::VerticalBitmap,
-        CountingStrategy::Diffset,
-        CountingStrategy::Hybrid,
-        CountingStrategy::Auto,
-    ] {
-        let got = try_mine(
-            &e.data,
-            &config(&e, 0.10, true)
-                .with_counting(strategy)
-                .with_threads(Threads::Fixed(8))
-                .with_cancel(token.clone()),
-        );
-        assert!(
-            matches!(got, Err(Interrupt::Cancelled)),
-            "{} should cancel, got {got:?}",
-            strategy.name()
-        );
-    }
+    let got = try_mine(
+        &e.data,
+        &config(&e, 0.10, true)
+            .with_counting(CountingStrategy::VerticalBitmap)
+            .with_threads(Threads::Fixed(8))
+            .with_cancel(token),
+    );
+    assert!(matches!(got, Err(Interrupt::Cancelled)), "bitmap should cancel, got {got:?}");
 }
 
-/// Memory budgets are *tracked* by the vertical engines (feeding the
-/// peak watermark) but never alter their output: a one-byte budget still
+/// Memory budgets are *tracked* by the vertical engine (feeding the
+/// peak watermark) but never alter its output: a one-byte budget still
 /// mines the exact reference result.
 #[test]
 fn vertical_strategies_identical_under_tight_budget() {
     wide_host();
     let e = experiment2(32);
     let reference = mine(&e.data, &config(&e, 0.08, true));
-    for strategy in VERTICAL_STRATEGIES {
-        for budget in [MemoryBudget::unlimited(), MemoryBudget::bytes(1)] {
-            let got = try_mine(
-                &e.data,
-                &config(&e, 0.08, true)
-                    .with_counting(strategy)
-                    .with_threads(Threads::Fixed(8))
-                    .with_budget(budget),
-            )
-            .expect("vertical strategies never degrade under budget");
-            assert_eq!(got.levels, reference.levels, "{}", strategy.name());
-        }
+    for budget in [MemoryBudget::unlimited(), MemoryBudget::bytes(1)] {
+        let got = try_mine(
+            &e.data,
+            &config(&e, 0.08, true)
+                .with_counting(CountingStrategy::VerticalBitmap)
+                .with_threads(Threads::Fixed(8))
+                .with_budget(budget),
+        )
+        .expect("the vertical strategy never degrades under budget");
+        assert_eq!(got.levels, reference.levels);
     }
-    // Auto under a one-byte budget resolves to a horizontal strategy
-    // (no headroom for the vertical footprint) — and still must be
-    // bit-identical to the reference.
-    let got = try_mine(
-        &e.data,
-        &config(&e, 0.08, true)
-            .with_counting(CountingStrategy::Auto)
-            .with_threads(Threads::Fixed(8))
-            .with_budget(MemoryBudget::bytes(1)),
-    )
-    .expect("auto never degrades under budget");
-    assert_eq!(got.levels, reference.levels, "auto under 1-byte budget");
 }
 
-/// Instrumented runs expose the new vertical-engine metrics, and the
+/// Instrumented runs expose the vertical-engine metrics, and the
 /// C₂-filter counter agrees with the stats the result itself reports.
-/// Hybrid lives in both representations, so it reports both counters.
 #[test]
 fn vertical_metrics_are_recorded() {
     wide_host();
     let e = experiment1(32);
-    for (strategy, metric) in [
-        (CountingStrategy::VerticalBitmap, "mining/bitmap_words"),
-        (CountingStrategy::Diffset, "mining/diffset_bytes"),
-        (CountingStrategy::Hybrid, "mining/bitmap_words"),
-    ] {
-        let recorder = Recorder::new();
-        let got = mine(
-            &e.data,
-            &config(&e, 0.10, true).with_counting(strategy).with_recorder(recorder.clone()),
-        );
-        let metrics = recorder.snapshot();
-        let recorded = metrics.counter(metric);
-        assert!(recorded.is_some_and(|v| v > 0), "{metric} missing or zero: {recorded:?}");
-        if strategy == CountingStrategy::Hybrid {
-            assert!(
-                metrics.counter("mining/diffset_bytes").is_some(),
-                "hybrid must also report its flip-level diffset bytes"
-            );
-        }
-        let filtered = metrics.counter("mining/c2_pairs_filtered").unwrap_or(0);
-        assert_eq!(
-            filtered,
-            (got.stats.pairs_removed_dependencies + got.stats.pairs_removed_same_type) as u64,
-            "{}",
-            strategy.name()
-        );
-    }
-}
-
-/// An instrumented `auto` run records its resolved decision and the
-/// stats it was based on, and the decision code matches the named
-/// counter.
-#[test]
-fn auto_records_choice_and_stats() {
-    wide_host();
-    let e = experiment1(32);
     let recorder = Recorder::new();
-    let auto = mine(
+    let got = mine(
         &e.data,
         &config(&e, 0.10, true)
-            .with_counting(CountingStrategy::Auto)
+            .with_counting(CountingStrategy::VerticalBitmap)
             .with_recorder(recorder.clone()),
     );
-    let reference = mine(&e.data, &config(&e, 0.10, true));
-    assert_eq!(auto.levels, reference.levels, "auto output diverges");
     let metrics = recorder.snapshot();
-    let code = metrics.counter("mining/auto_choice").expect("decision recorded");
-    assert!(code > 0, "auto must resolve to a fixed strategy");
-    // The named counter mirrors the numeric code.
-    let named: Vec<&str> = metrics
-        .counters_with_prefix("mining/auto_choice/")
-        .map(|(name, _)| &name["mining/auto_choice/".len()..])
-        .collect();
-    assert_eq!(named.len(), 1, "exactly one choice: {named:?}");
-    let resolved = CountingStrategy::parse(named[0]).expect("recorded name parses");
-    assert_eq!(resolved.code(), code);
-    for stat in ["mining/auto_stats_transactions", "mining/auto_stats_items"] {
-        assert!(metrics.counter(stat).is_some_and(|v| v > 0), "{stat} missing");
-    }
+    let recorded = metrics.counter("mining/bitmap_words");
+    assert!(recorded.is_some_and(|v| v > 0), "mining/bitmap_words missing or zero: {recorded:?}");
+    let filtered = metrics.counter("mining/c2_pairs_filtered").unwrap_or(0);
+    assert_eq!(
+        filtered,
+        (got.stats.pairs_removed_dependencies + got.stats.pairs_removed_same_type) as u64
+    );
 }
 
-/// `choose` is a pure function of its stats: the same input yields the
-/// same decision, regardless of environment (thread overrides, any env
-/// var a policy might be tempted to read).
+/// Below pass 2 the vertical engine counts DFS join attempts, not
+/// `apriori_gen` candidates, and records them under their own name: a
+/// `bitmap` run emits no `apriori.pass3.candidates`, and its
+/// `apriori.pass3.joins` bounds the trie's `apriori_gen` count from above
+/// (every generated 3-candidate is one join of two frequent pairs).
 #[test]
-fn choose_is_a_pure_function_of_its_stats() {
-    let samples = [
-        WorkloadStats { transactions: 0, items: 5, total_entries: 0, budget_headroom: None },
-        WorkloadStats { transactions: 100, items: 8, total_entries: 420, budget_headroom: None },
-        WorkloadStats {
-            transactions: 60_000,
-            items: 17,
-            total_entries: 340_000,
-            budget_headroom: None,
-        },
-        WorkloadStats {
-            transactions: 60_000,
-            items: 500,
-            total_entries: 50_000,
-            budget_headroom: None,
-        },
-        WorkloadStats {
-            transactions: 60_000,
-            items: 17,
-            total_entries: 340_000,
-            budget_headroom: Some(1),
-        },
-    ];
-    let before: Vec<_> = samples.iter().map(|&s| choose(s)).collect();
-    // Perturb the environment the way CI and the pool might. (The host
-    // width stays at the file-wide "8" — tests in this binary run
-    // concurrently and must agree on its value.)
+fn vertical_level3_records_joins_not_candidates() {
     wide_host();
-    std::env::set_var("GEOPATTERN_THREADS", "7");
-    let after: Vec<_> = samples.iter().map(|&s| choose(s)).collect();
-    std::env::remove_var("GEOPATTERN_THREADS");
-    assert_eq!(before, after, "choose() must not read the environment");
-    // And it never returns Auto itself.
-    for (strategy, _) in before {
-        assert_ne!(strategy, CountingStrategy::Auto);
-    }
+    let e = experiment1(32);
+    let pass3 = |strategy: CountingStrategy| {
+        let recorder = Recorder::new();
+        let config = config(&e, 0.05, false).with_counting(strategy);
+        mine(&e.data, &config.with_recorder(recorder.clone()));
+        recorder.snapshot()
+    };
+    let trie = pass3(CountingStrategy::PrefixTrie);
+    let bitmap = pass3(CountingStrategy::VerticalBitmap);
+    let candidates = trie.counter("apriori.pass3.candidates").expect("trie reaches pass 3");
+    assert!(candidates > 0);
+    assert_eq!(bitmap.counter("apriori.pass3.candidates"), None);
+    let joins = bitmap.counter("apriori.pass3.joins").expect("bitmap records pass-3 joins");
+    assert!(joins >= candidates, "joins {joins} < apriori_gen candidates {candidates}");
+    assert_eq!(
+        bitmap.counter("apriori.pass3.frequent"),
+        trie.counter("apriori.pass3.frequent")
+    );
 }

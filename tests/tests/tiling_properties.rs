@@ -8,10 +8,10 @@
 //! field — these tests sweep tile sizes {1, 2, 7} × threads {1, 2, 8}
 //! over structured (city) and unstructured (random scatter) layers, then
 //! probe the overlap-buffer edge cases and the control plane
-//! (cancellation, fail-point, shard log).
+//! (cancellation, fail-point, per-tile journal checkpoints).
 
 use geopattern::{
-    extract_predicates, CancelToken, DistanceScheme, ExtractionConfig, Feature, Layer, ShardLog,
+    extract_predicates, CancelToken, DistanceScheme, ExtractionConfig, Feature, Journal, Layer,
     Threads, Tiling,
 };
 use geopattern_datagen::{generate_city, CityConfig};
@@ -217,35 +217,52 @@ fn pre_cancelled_token_interrupts_tiled_extraction() {
     assert!(result.is_err(), "pre-cancelled token must interrupt the tiled path");
 }
 
+/// A fresh journal in a per-process temporary directory, plus the tile
+/// indices it holds.
+fn tile_journal(tag: &str) -> (Journal, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("gp-tiling-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    (Journal::create(dir.join("tiles.journal"), 1).unwrap(), dir)
+}
+
+/// Tile indices checkpointed in `journal` (extraction's `extract/tile`
+/// record kind), ascending.
+fn checkpointed_tiles(journal: &Journal) -> Vec<u64> {
+    journal.records("extract/tile").into_iter().map(|(shard, _)| shard).collect()
+}
+
 #[test]
 fn shard_log_records_every_completed_tile() {
     let _guard = locked();
     let ds = city();
-    let log = ShardLog::new();
+    let (journal, dir) = tile_journal("complete");
     let config = ExtractionConfig::topological_only()
         .with_tiling(Tiling::Grid { tiles_per_axis: 2 })
         .with_threads(Threads::Fixed(2))
-        .with_shard_log(log.clone());
+        .with_journal(journal.clone());
     let (table, _) = extract_predicates(&ds.reference, &ds.relevant_refs(), &config).unwrap();
     assert!(!table.rows().is_empty());
     // All four tiles of the 2×2 grid hold districts, and all completed.
-    assert_eq!(log.completed(), vec![0, 1, 2, 3]);
+    assert_eq!(checkpointed_tiles(&journal), vec![0, 1, 2, 3]);
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
 fn tile_failpoint_cancels_without_checkpointing() {
     let _guard = locked();
     let ds = city();
+    let (journal, dir) = tile_journal("cancelled");
     failpoint::activate("sdb/extract.tile", FailAction::Cancel, 1.0, 17);
-    let log = ShardLog::new();
     let config = ExtractionConfig::topological_only()
         .with_tiling(Tiling::Grid { tiles_per_axis: 2 })
         .with_threads(Threads::Fixed(2))
         .with_cancel(CancelToken::new())
-        .with_shard_log(log.clone());
+        .with_journal(journal.clone());
     let result = extract_predicates(&ds.reference, &ds.relevant_refs(), &config);
     failpoint::deactivate_all();
     assert!(result.is_err(), "tile fail-point must cancel the run");
     // The fault fires before any tile completes: nothing is checkpointed.
-    assert!(log.is_empty(), "interrupted tiles must not be marked done");
+    assert!(checkpointed_tiles(&journal).is_empty(), "interrupted tiles must not checkpoint");
+    let _ = std::fs::remove_dir_all(dir);
 }
