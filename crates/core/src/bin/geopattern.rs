@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! geopattern mine <dataset.gpd|.gpb> [--minsup 0.3] [--minconf 0.7]
-//!                 [--algorithm apriori|kc|kc+|fpgrowth|fpgrowth-kc+|eclat|eclat-kc+|tid|tid-kc+]
+//!                 [--algorithm apriori|kc|kc+|fpgrowth|fpgrowth-kc+|eclat|eclat-kc+]
 //!                 [--counting prefix-trie|bitmap]
 //!                 [--dep TYPE_A TYPE_B]... [--threads N|auto] [--itemsets] [--rules]
 //!                 [--metrics json] [--timeout SECS] [--memory-budget BYTES]
@@ -115,8 +115,7 @@ fn print_usage() {
          geopattern generate-city [--grid N] [--seed S] [--out FILE] [--format wkt|gpb]\n  \
          geopattern relate <WKT_A> <WKT_B>\n  \
          geopattern gain --t T1,T2,... --n N\n\n\
-         ALGORITHMS: apriori, kc, kc+ (default), fpgrowth, fpgrowth-kc+, eclat, eclat-kc+,\n            \
-         tid, tid-kc+\n\
+         ALGORITHMS: apriori, kc, kc+ (default), fpgrowth, fpgrowth-kc+, eclat, eclat-kc+\n\
          COUNTING (Apriori variants): prefix-trie (default), bitmap — both produce\n            \
          identical itemsets; bitmap runs the vertical triangular-C2 engine\n\n\
          --format selects the dataset encoding: wkt text, gpb binary, or auto\n\
@@ -126,7 +125,7 @@ fn print_usage() {
          on stdout after the report (a partial report on interrupted runs).\n\
          --timeout SECS cancels the run at a deadline (exit code 4).\n\
          --memory-budget BYTES (suffixes k/m/g) degrades gracefully instead of failing:\n\
-         AprioriTid restarts as plain Apriori; Eclat / FP-Growth abandon branches.\n\
+         Eclat / FP-Growth abandon over-budget branches (fewer itemsets, exact supports).\n\
          --journal FILE makes the run crash-safe (durable per-tile / per-level records);\n\
          --resume reopens the journal and skips everything already journaled, with\n\
          bit-identical output. --max-retries N retries worker panics with capped\n\
@@ -135,6 +134,10 @@ fn print_usage() {
          4 cancelled or timed out, 5 worker panic, 6 retry budget exhausted"
     );
 }
+
+/// The canonical `--algorithm` names, listed when a name is rejected.
+const ALGORITHM_NAMES: [&str; 7] =
+    ["apriori", "kc", "kc+", "fpgrowth", "fpgrowth-kc+", "eclat", "eclat-kc+"];
 
 fn parse_algorithm(s: &str) -> Result<Algorithm, String> {
     Ok(match s.to_ascii_lowercase().as_str() {
@@ -145,9 +148,12 @@ fn parse_algorithm(s: &str) -> Result<Algorithm, String> {
         "fpgrowth-kc+" | "fp-growth-kc+" => Algorithm::FpGrowthKcPlus,
         "eclat" => Algorithm::Eclat,
         "eclat-kc+" => Algorithm::EclatKcPlus,
-        "tid" | "apriori-tid" | "aprioritid" => Algorithm::AprioriTid,
-        "tid-kc+" | "apriori-tid-kc+" | "aprioritid-kc+" => Algorithm::AprioriTidKcPlus,
-        other => return Err(format!("unknown algorithm {other:?}")),
+        other => {
+            return Err(format!(
+                "unknown algorithm {other:?} (expected one of: {})",
+                ALGORITHM_NAMES.join(", ")
+            ))
+        }
     })
 }
 
@@ -237,14 +243,14 @@ fn cmd_mine(args: &[String]) -> Result<(), CmdError> {
         .map(|v| v.parse().map_err(|_| format!("bad --minconf {v:?}")))
         .transpose()?
         .unwrap_or(0.7);
-    let algorithm = take_flag(&mut args, "--algorithm")?
-        .map(|v| parse_algorithm(&v))
-        .transpose()?
-        .unwrap_or(Algorithm::AprioriKcPlus);
-    // An unknown strategy is an invalid *mining* config (exit code 2,
-    // like the library's config errors), not a usage error: the flag was
-    // well-formed, its value wasn't. The parse error lists every
-    // accepted name.
+    // An unknown algorithm or counting strategy is an invalid *mining*
+    // config (exit code 2, like the library's config errors), not a usage
+    // error: the flag was well-formed, its value wasn't. Each parse error
+    // lists every accepted name.
+    let algorithm = match take_flag(&mut args, "--algorithm")? {
+        Some(v) => parse_algorithm(&v).map_err(|msg| CmdError { code: 2, msg })?,
+        None => Algorithm::AprioriKcPlus,
+    };
     let counting = match take_flag(&mut args, "--counting")? {
         Some(v) => CountingStrategy::parse(&v).map_err(|msg| CmdError { code: 2, msg })?,
         None => CountingStrategy::default(),

@@ -21,9 +21,8 @@ use crate::convert::{dependency_filter, same_type_filter, to_transactions};
 use crate::error::Error;
 use crate::report::PatternReport;
 use geopattern_mining::{
-    generate_rules, try_mine, try_mine_apriori_tid, try_mine_eclat, try_mine_fp, AprioriConfig,
-    AprioriTidConfig, CountingStrategy, EclatConfig, FpGrowthConfig, MinSupport, PairFilter,
-    TransactionSet,
+    generate_rules, try_mine, try_mine_eclat, try_mine_fp, AprioriConfig, CountingStrategy,
+    EclatConfig, FpGrowthConfig, MinSupport, PairFilter, TransactionSet,
 };
 use geopattern_obs::Recorder;
 use geopattern_par::{CancelToken, Journal, MemoryBudget, Threads};
@@ -33,7 +32,7 @@ use geopattern_sdb::{
 };
 
 /// Attaches `journal` (when present) to a miner config via that config
-/// type's `with_journal` — keeps the nine algorithm branches in
+/// type's `with_journal` — keeps the seven algorithm branches in
 /// [`MiningPipeline::mine`] free of repeated `if let` noise.
 fn journaled<T>(journal: &Option<Journal>, config: T, attach: fn(T, Journal) -> T) -> T {
     match journal {
@@ -61,10 +60,6 @@ pub enum Algorithm {
     Eclat,
     /// Eclat with the KC+ filters.
     EclatKcPlus,
-    /// AprioriTid (transformed-database counting), unfiltered.
-    AprioriTid,
-    /// AprioriTid with the KC+ filters.
-    AprioriTidKcPlus,
 }
 
 impl Algorithm {
@@ -78,8 +73,6 @@ impl Algorithm {
             Algorithm::FpGrowthKcPlus => "FP-Growth-KC+",
             Algorithm::Eclat => "Eclat",
             Algorithm::EclatKcPlus => "Eclat-KC+",
-            Algorithm::AprioriTid => "AprioriTid",
-            Algorithm::AprioriTidKcPlus => "AprioriTid-KC+",
         }
     }
 }
@@ -227,10 +220,13 @@ impl MiningPipeline {
     }
 
     /// Attaches a memory budget for the mining stage. Exceeding it never
-    /// fails the run: AprioriTid restarts as plain Apriori, Eclat and
-    /// FP-Growth abandon over-budget branches — the degradations are
+    /// fails the run: Eclat and FP-Growth abandon over-budget branches, so
+    /// the degraded output is a subset of the unbudgeted one (every
+    /// surviving itemset keeps its exact support). The degradations are
     /// counted in the result's `stats.degradations` and under the
-    /// `robust/degradations` metric.
+    /// `robust/degradations` metric. Apriori only tracks its candidate
+    /// bytes against the budget (for `robust/budget_bytes_peak`) and never
+    /// degrades.
     pub fn memory_budget(mut self, budget: MemoryBudget) -> Self {
         self.budget = budget;
         self
@@ -452,29 +448,6 @@ impl MiningPipeline {
                     EclatConfig::with_journal,
                 ),
             )?,
-            Algorithm::AprioriTid => try_mine_apriori_tid(
-                &transactions,
-                &journaled(
-                    &self.journal,
-                    AprioriTidConfig::new(self.min_support)
-                        .with_recorder(rec.clone())
-                        .with_cancel(cancel)
-                        .with_budget(budget),
-                    AprioriTidConfig::with_journal,
-                ),
-            )?,
-            Algorithm::AprioriTidKcPlus => try_mine_apriori_tid(
-                &transactions,
-                &journaled(
-                    &self.journal,
-                    AprioriTidConfig::new(self.min_support)
-                        .with_filter(deps.union(&same))
-                        .with_recorder(rec.clone())
-                        .with_cancel(cancel)
-                        .with_budget(budget),
-                    AprioriTidConfig::with_journal,
-                ),
-            )?,
         };
         drop(mine_span);
         rec.counter("mine.frequent_itemsets", result.num_frequent() as u64);
@@ -630,8 +603,6 @@ mod tests {
             (Algorithm::AprioriKcPlus, Algorithm::FpGrowthKcPlus),
             (Algorithm::Apriori, Algorithm::Eclat),
             (Algorithm::AprioriKcPlus, Algorithm::EclatKcPlus),
-            (Algorithm::Apriori, Algorithm::AprioriTid),
-            (Algorithm::AprioriKcPlus, Algorithm::AprioriTidKcPlus),
         ] {
             let ra = MiningPipeline::new()
                 .algorithm(a)
@@ -701,12 +672,7 @@ mod tests {
     fn cancelled_token_fails_the_pipeline_with_exit_code_4() {
         let cancel = CancelToken::new();
         cancel.cancel();
-        for algorithm in [
-            Algorithm::Apriori,
-            Algorithm::FpGrowth,
-            Algorithm::Eclat,
-            Algorithm::AprioriTid,
-        ] {
+        for algorithm in [Algorithm::Apriori, Algorithm::FpGrowth, Algorithm::Eclat] {
             let err = MiningPipeline::new()
                 .algorithm(algorithm)
                 .min_support(MinSupport::Fraction(0.5))
@@ -721,24 +687,24 @@ mod tests {
     #[test]
     fn zero_memory_budget_degrades_but_still_succeeds() {
         let strict = MiningPipeline::new()
-            .algorithm(Algorithm::AprioriTidKcPlus)
+            .algorithm(Algorithm::EclatKcPlus)
             .min_support(MinSupport::Fraction(0.5))
             .memory_budget(MemoryBudget::bytes(0))
             .run_transactions(paper_rows())
             .unwrap();
         assert!(strict.result.stats.degradations >= 1);
         let plain = MiningPipeline::new()
-            .algorithm(Algorithm::AprioriTidKcPlus)
+            .algorithm(Algorithm::EclatKcPlus)
             .min_support(MinSupport::Fraction(0.5))
             .run_transactions(paper_rows())
             .unwrap();
-        let sets = |r: &PatternReport| {
-            let mut v: Vec<_> = r.result.all().map(|f| (f.items.clone(), f.support)).collect();
-            v.sort();
-            v
-        };
-        // AprioriTid degrades by restarting as plain Apriori: same output.
-        assert_eq!(sets(&strict), sets(&plain));
+        // Eclat degrades lossily: abandoned branches lose itemsets, but
+        // every survivor is in the unbudgeted run with the same support.
+        let full: std::collections::HashMap<_, _> =
+            plain.result.all().map(|f| (f.items.clone(), f.support)).collect();
+        for f in strict.result.all() {
+            assert_eq!(full.get(&f.items), Some(&f.support), "{:?}", f.items);
+        }
     }
 
     #[test]

@@ -185,12 +185,19 @@ fn absurd_thread_count_is_rejected() {
 }
 
 #[test]
-fn tid_algorithm_names_parse() {
-    let path = city_file("tid");
-    for name in ["tid", "apriori-tid", "tid-kc+", "apriori-tid-kc+"] {
-        let out = run(&["mine", path.to_str().unwrap(), "--algorithm", name]);
-        assert_eq!(out.status.code(), Some(0), "{name}: {}", stderr(&out));
-        assert!(stdout(&out).contains("AprioriTid"), "{name}");
+fn unknown_algorithm_is_invalid_config_listing_all_names() {
+    // Same contract as `--counting`: exit code 2 and every accepted name
+    // on stderr. The names of the removed `tid` miner are rejected like
+    // any other typo (names are case-insensitive, so the upper-case
+    // spelling is the lower-case name).
+    for bad in ["tid", "TID-KC+", "apriori-tid", "bogus"] {
+        let out = run(&["mine", "x.gpd", "--algorithm", bad]);
+        assert_eq!(out.status.code(), Some(2), "{bad}");
+        let err = stderr(&out);
+        assert!(err.contains("unknown algorithm"), "{bad} stderr: {err}");
+        for name in ["apriori", "kc", "kc+", "fpgrowth", "fpgrowth-kc+", "eclat", "eclat-kc+"] {
+            assert!(err.contains(name), "{bad}: stderr must list {name:?}: {err}");
+        }
     }
 }
 

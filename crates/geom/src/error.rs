@@ -19,6 +19,9 @@ pub enum GeomError {
     SelfIntersection,
     /// A hole is not properly inside the exterior ring.
     HoleOutsideShell { hole: usize },
+    /// Hole `inner` lies inside hole `outer` (every vertex inside or on
+    /// it, at least one strictly inside).
+    NestedHole { outer: usize, inner: usize },
     /// Components of a multi-geometry overlap where they must be disjoint.
     ComponentsNotDisjoint { a: usize, b: usize },
     /// The WKT input could not be parsed.
@@ -42,6 +45,9 @@ impl fmt::Display for GeomError {
             GeomError::SelfIntersection => write!(f, "ring intersects itself"),
             GeomError::HoleOutsideShell { hole } => {
                 write!(f, "hole {hole} is not inside the exterior ring")
+            }
+            GeomError::NestedHole { outer, inner } => {
+                write!(f, "hole {inner} is nested inside hole {outer}")
             }
             GeomError::ComponentsNotDisjoint { a, b } => {
                 write!(f, "multi-geometry components {a} and {b} are not disjoint")

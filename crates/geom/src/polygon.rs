@@ -216,10 +216,10 @@ impl Ring {
 
 /// A polygon: one exterior ring and zero or more interior rings (holes).
 ///
-/// Validation enforces that every hole lies inside the exterior ring.
-/// Holes touching the shell or each other at isolated points are accepted
-/// (OGC-valid); overlapping holes are not detected beyond the containment
-/// check and are the caller's responsibility.
+/// Validation enforces that every hole lies inside the exterior ring and
+/// that no hole lies inside another hole. Holes touching the shell or each
+/// other at isolated points are accepted (OGC-valid); partially overlapping
+/// holes are not detected and are the caller's responsibility.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Polygon {
     exterior: Ring,
@@ -243,6 +243,29 @@ impl Polygon {
             if !any_strict {
                 // Degenerate: hole entirely on the shell boundary.
                 return Err(GeomError::HoleOutsideShell { hole: i });
+            }
+        }
+        // A hole inside another hole would be an island of the shell's
+        // interior that `locate` misses. Same vertex test as against the
+        // shell, behind an envelope check so disjoint holes cost O(1).
+        for (i, outer) in holes.iter().enumerate() {
+            let env = outer.envelope();
+            for (j, inner) in holes.iter().enumerate() {
+                if i == j || !env.contains_rect(&inner.envelope()) {
+                    continue;
+                }
+                let mut any_strict = false;
+                let nested = inner.coords().iter().all(|&c| match outer.locate(c) {
+                    PointLocation::Outside => false,
+                    PointLocation::Inside => {
+                        any_strict = true;
+                        true
+                    }
+                    PointLocation::OnBoundary => true,
+                });
+                if nested && any_strict {
+                    return Err(GeomError::NestedHole { outer: i, inner: j });
+                }
             }
         }
         Ok(Polygon { exterior, holes })
@@ -614,6 +637,28 @@ mod tests {
             Polygon::new(shell, vec![bad_hole]),
             Err(GeomError::HoleOutsideShell { hole: 0 })
         ));
+    }
+
+    #[test]
+    fn nested_hole_rejected() {
+        let shell = Ring::rect(coord(0.0, 0.0), coord(10.0, 10.0)).unwrap();
+        let outer = Ring::rect(coord(2.0, 2.0), coord(8.0, 8.0)).unwrap();
+        let inner = Ring::rect(coord(4.0, 4.0), coord(6.0, 6.0)).unwrap();
+        assert_eq!(
+            Polygon::new(shell.clone(), vec![outer.clone(), inner.clone()]),
+            Err(GeomError::NestedHole { outer: 0, inner: 1 })
+        );
+        assert_eq!(
+            Polygon::new(shell.clone(), vec![inner.clone(), outer]),
+            Err(GeomError::NestedHole { outer: 1, inner: 0 })
+        );
+        // Side-by-side holes touching along an edge are not nested.
+        let left = Ring::rect(coord(1.0, 1.0), coord(5.0, 5.0)).unwrap();
+        let right = Ring::rect(coord(5.0, 1.0), coord(9.0, 5.0)).unwrap();
+        assert!(Polygon::new(shell.clone(), vec![left, right]).is_ok());
+        // A hole whose vertices all lie on another hole's boundary is not
+        // strictly inside it.
+        assert!(Polygon::new(shell, vec![inner.clone(), inner]).is_ok());
     }
 
     #[test]

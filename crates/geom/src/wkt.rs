@@ -320,6 +320,13 @@ mod tests {
     }
 
     #[test]
+    fn nested_hole_is_rejected() {
+        let wkt = "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (2 2, 8 2, 8 8, 2 8, 2 2), \
+                   (4 4, 6 4, 6 6, 4 6, 4 4))";
+        assert_eq!(from_wkt(wkt), Err(GeomError::NestedHole { outer: 0, inner: 1 }));
+    }
+
+    #[test]
     fn multilinestring_roundtrip() {
         assert_eq!(
             roundtrip("MULTILINESTRING ((0 0, 1 0), (5 5, 6 6))"),

@@ -92,9 +92,9 @@ pub struct AprioriConfig {
     /// and at pool chunk boundaries during counting. Disabled by default,
     /// in which case every check is free and can never fire.
     pub cancel: CancelToken,
-    /// Memory budget for the per-pass candidate sets. Plain Apriori is the
-    /// degradation target of last resort, so it only *tracks* its usage
-    /// (feeding `robust/budget_bytes_peak`); it never degrades itself.
+    /// Memory budget for the per-pass candidate sets. Apriori only
+    /// *tracks* its usage (feeding `robust/budget_bytes_peak`); it never
+    /// degrades.
     pub budget: MemoryBudget,
     /// Durable checkpoint journal. When set, every completed pass appends
     /// its frequent level, and a new run over the same journal seeds the

@@ -1,9 +1,9 @@
 //! Byte codec and resume helpers for journaled mining state.
 //!
 //! Journal payloads are opaque to [`geopattern_par::Journal`]; this module
-//! owns the mining-side record formats. Two shapes cover all four miners:
+//! owns the mining-side record formats. Two shapes cover all three miners:
 //!
-//! * **level records** (Apriori and AprioriTid, one per completed pass) —
+//! * **level records** (Apriori, one per completed pass) —
 //!   a flag byte, the pass's candidate count, the cumulative `C₂` filter
 //!   totals, and the frequent itemsets of that level. The shard number is
 //!   the pass number `k` (1-based), so a journal holds a *contiguous
@@ -32,9 +32,6 @@ use geopattern_par::Journal;
 /// levels are bit-identical across strategies, so a journal written under
 /// one strategy resumes a run under another).
 pub(crate) const APRIORI_LEVEL: &str = "apriori/level";
-/// Level records of AprioriTid (separate namespace: its filter statistics
-/// differ from a KC-configured Apriori run over the same journal file).
-pub(crate) const TID_LEVEL: &str = "apriori_tid/level";
 /// Per-equivalence-class records of Eclat.
 pub(crate) const ECLAT_CLASS: &str = "eclat/class";
 /// Per-top-level-branch records of FP-Growth.
@@ -47,8 +44,7 @@ pub(crate) const FLAG_NO_CANDIDATES: u8 = 0;
 /// A completed pass with its frequent itemsets (terminal when empty).
 pub(crate) const FLAG_LEVEL: u8 = 1;
 /// Explicit run-complete marker, for exits that push no per-level
-/// statistics (AprioriTid's single-survivor break, the vertical engine's
-/// end of descent). Terminal.
+/// statistics (the vertical engine's end of descent). Terminal.
 pub(crate) const FLAG_COMPLETE: u8 = 2;
 
 /// One decoded level record.
@@ -339,7 +335,6 @@ mod tests {
     // length, bit-identical output versus an unjournaled control. ---
 
     use crate::apriori::{mine, AprioriConfig, CountingStrategy};
-    use crate::apriori_tid::{mine_apriori_tid, AprioriTidConfig};
     use crate::eclat::{mine_eclat, EclatConfig};
     use crate::filter::PairFilter;
     use crate::fpgrowth::{mine_fp, FpGrowthConfig};
@@ -503,41 +498,6 @@ mod tests {
             );
             let resumed = mine(&data, &config.clone().with_journal(partial));
             assert_identical(&control, &resumed, &format!("keep {keep}"));
-        }
-    }
-
-    #[test]
-    fn apriori_tid_resumes_bit_identically_from_any_journal_prefix() {
-        let data = toy();
-        let filter = PairFilter::from_pairs([(0u32, 1u32)]);
-        let config = AprioriTidConfig::new(MinSupport::Count(1)).with_filter(filter);
-        let control = mine_apriori_tid(&data, &config);
-        assert!(control.stats.pairs_removed_same_type > 0);
-        let dir = Scratch::new("tid");
-        let full = Journal::create(dir.path("full.journal"), 1).unwrap();
-        let first = mine_apriori_tid(&data, &config.clone().with_journal(full.clone()));
-        assert_identical(&control, &first, "journaled run");
-        let total = full.records(TID_LEVEL).len();
-        assert!(total >= 3, "toy data must journal several levels, got {total}");
-
-        for keep in 0..=total {
-            let rec = Recorder::new();
-            let partial = partial_journal(
-                &full,
-                &dir.path(&format!("keep{keep}.journal")),
-                TID_LEVEL,
-                keep,
-            );
-            let resumed = mine_apriori_tid(
-                &data,
-                &config.clone().with_journal(partial).with_recorder(rec.clone()),
-            );
-            assert_identical(&control, &resumed, &format!("keep {keep}"));
-            if keep >= 2 {
-                let skipped =
-                    rec.snapshot().counter("robust/resume_levels_skipped").unwrap_or(0);
-                assert!(skipped >= 1, "keep {keep}: expected skipped levels");
-            }
         }
     }
 

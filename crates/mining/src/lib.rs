@@ -54,7 +54,6 @@
 //! ```
 
 pub mod apriori;
-pub mod apriori_tid;
 pub mod bitmap;
 pub mod closed;
 pub mod eclat;
@@ -68,7 +67,6 @@ pub(crate) mod robust;
 pub mod rules;
 
 pub use apriori::{apriori_gen, mine, try_mine, AprioriConfig, CountingStrategy};
-pub use apriori_tid::{mine_apriori_tid, try_mine_apriori_tid, AprioriTidConfig};
 pub use bitmap::{TidList, TidSet, TriangularC2, SPARSE_FACTOR};
 pub use closed::{closed_itemsets, maximal_itemsets};
 pub use eclat::{mine_eclat, try_mine_eclat, EclatConfig};

@@ -1,4 +1,4 @@
-//! Shared fault-tolerance plumbing for the four miners.
+//! Shared fault-tolerance plumbing for the three miners.
 //!
 //! Each miner checks its [`CancelToken`] at pass boundaries, reports every
 //! enabled check on the `robust/cancel_checks` counter, fires its
@@ -28,15 +28,6 @@ pub(crate) fn checkpoint(cancel: &CancelToken, rec: &Recorder) -> Result<(), Int
 pub(crate) fn fire(site: &str, cancel: &CancelToken) {
     if geopattern_testkit::failpoint::trigger(site) {
         cancel.cancel();
-    }
-}
-
-/// Counts one graceful degradation (budget-limited runs only — the
-/// counter must not exist on unbudgeted runs or it would break metric
-/// equality with uncontrolled runs).
-pub(crate) fn count_degradation(budget: &MemoryBudget, rec: &Recorder) {
-    if budget.is_limited() {
-        rec.counter("robust/degradations", 1);
     }
 }
 
@@ -81,18 +72,35 @@ mod tests {
 
     #[test]
     fn degradation_and_peak_skip_unlimited_budgets() {
-        let rec = Recorder::new();
-        let unlimited = MemoryBudget::unlimited();
-        count_degradation(&unlimited, &rec);
-        record_budget_peak(&unlimited, &rec);
-        assert!(rec.snapshot().is_empty());
+        // Eclat is a degrading miner: three always-together items need a
+        // materialised join for the 3-set, which a zero budget refuses.
+        use crate::eclat::{try_mine_eclat, EclatConfig};
+        use crate::item::{ItemCatalog, TransactionSet};
+        use crate::result::MinSupport;
+        let mut catalog = ItemCatalog::new();
+        for name in ["a", "b", "c"] {
+            catalog.intern_attribute(name);
+        }
+        let mut data = TransactionSet::new(catalog);
+        for _ in 0..3 {
+            data.push(vec![0, 1, 2]);
+        }
+        let run = |budget: MemoryBudget| {
+            let rec = Recorder::new();
+            let config = EclatConfig::new(MinSupport::Count(1))
+                .with_budget(budget)
+                .with_recorder(rec.clone());
+            try_mine_eclat(&data, &config).expect("budgets never fail a run");
+            rec.snapshot()
+        };
 
-        let limited = MemoryBudget::bytes(10);
-        assert!(!limited.reserve(64));
-        count_degradation(&limited, &rec);
-        record_budget_peak(&limited, &rec);
-        let snap = rec.snapshot();
-        assert_eq!(snap.counter("robust/degradations"), Some(1));
+        let unlimited = run(MemoryBudget::unlimited());
+        assert_eq!(unlimited.counter("robust/degradations"), None);
+        assert!(unlimited.histogram("robust/budget_bytes_peak").is_none());
+
+        let limited = run(MemoryBudget::bytes(0));
+        assert!(limited.counter("robust/degradations").unwrap_or(0) >= 1);
+        assert!(limited.histogram("robust/budget_bytes_peak").is_some());
     }
 
     #[test]

@@ -194,20 +194,6 @@ impl Metrics {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// Counters whose name starts with `prefix`, in name order — how
-    /// families like `robust/resume_*` are read back as a group.
-    /// `BTreeMap` range scan: cost is proportional to the matches, not
-    /// the counter population.
-    pub fn counters_with_prefix<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a str, u64)> {
-        self.counters
-            .range(prefix.to_string()..)
-            .take_while(move |(k, _)| k.starts_with(prefix))
-            .map(|(k, &v)| (k.as_str(), v))
-    }
-
     /// All histograms in name order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
@@ -332,21 +318,6 @@ mod tests {
         assert_eq!(ab.span("rows").unwrap().count, 2);
         assert_eq!(ab.span("rows").unwrap().total_ns, 750);
         assert_eq!(ab.histogram("row_len").unwrap().count, 2);
-    }
-
-    #[test]
-    fn counters_with_prefix_scans_the_family() {
-        let mut m = Metrics::new();
-        m.add_counter("robust/journal_bytes", 5);
-        m.add_counter("robust/resume_levels_skipped", 17);
-        m.add_counter("robust/resume_tiles_skipped", 60000);
-        m.add_counter("robust/retries", 99);
-        let family: Vec<(&str, u64)> = m.counters_with_prefix("robust/resume_").collect();
-        assert_eq!(
-            family,
-            vec![("robust/resume_levels_skipped", 17), ("robust/resume_tiles_skipped", 60000)]
-        );
-        assert_eq!(m.counters_with_prefix("nope/").count(), 0);
     }
 
     #[test]

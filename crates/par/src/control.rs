@@ -162,9 +162,9 @@ struct BudgetInner {
 /// [`MemoryBudget::unlimited`] (the default) never rejects a reservation
 /// and tracks nothing. A limited budget admits reservations up to its
 /// byte limit; what a consumer does on rejection is its documented
-/// degradation policy (AprioriTid falls back to plain Apriori, Eclat and
-/// FP-Growth abort the offending branch). The high-water mark is kept for
-/// the `robust/budget_bytes_peak` counter.
+/// degradation policy (Eclat and FP-Growth abort the offending branch and
+/// lose its itemsets; Apriori only tracks usage). The high-water mark is
+/// kept for the `robust/budget_bytes_peak` counter.
 #[derive(Debug, Clone, Default)]
 pub struct MemoryBudget {
     inner: Option<Arc<BudgetInner>>,

@@ -142,19 +142,6 @@ fn apriori_levels_resume_bit_identically_after_crash() {
 }
 
 #[test]
-fn apriori_tid_levels_resume_bit_identically_after_crash() {
-    let _g = locked();
-    crash_then_resume_matches_control(
-        "tid",
-        Algorithm::AprioriTidKcPlus,
-        "mining/apriori_tid.pass",
-        0.5,
-        11,
-        "robust/resume_levels_skipped",
-    );
-}
-
-#[test]
 fn eclat_classes_resume_bit_identically_after_crash() {
     let _g = locked();
     crash_then_resume_matches_control(

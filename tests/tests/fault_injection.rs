@@ -122,15 +122,6 @@ fn apriori_count_site_panics_inside_the_counting_pool() {
 }
 
 #[test]
-fn apriori_tid_pass_site_cancels_mining() {
-    let _g = locked();
-    failpoint::activate("mining/apriori_tid.pass", FailAction::Cancel, 1.0, 7);
-    let err = mine_experiment(Algorithm::AprioriTidKcPlus).unwrap_err();
-    assert_cancelled("mining/apriori_tid.pass", err);
-    failpoint::deactivate_all();
-}
-
-#[test]
 fn eclat_class_site_cancels_mining() {
     let _g = locked();
     failpoint::activate("mining/eclat.class", FailAction::Cancel, 1.0, 7);

@@ -11,7 +11,7 @@ use geopattern::{
 use geopattern_datagen::{default_knowledge, experiments, generate_city, CityConfig};
 use geopattern_sdb::Layer;
 
-const ALL_ALGORITHMS: [Algorithm; 9] = [
+const ALL_ALGORITHMS: [Algorithm; 7] = [
     Algorithm::Apriori,
     Algorithm::AprioriKc,
     Algorithm::AprioriKcPlus,
@@ -19,8 +19,6 @@ const ALL_ALGORITHMS: [Algorithm; 9] = [
     Algorithm::FpGrowthKcPlus,
     Algorithm::Eclat,
     Algorithm::EclatKcPlus,
-    Algorithm::AprioriTid,
-    Algorithm::AprioriTidKcPlus,
 ];
 
 fn city() -> SpatialDataset {

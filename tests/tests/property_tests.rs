@@ -292,11 +292,11 @@ fn sweep_matches_bruteforce() {
 
 // ---------- mining ----------
 
-/// All four mining strategies (Apriori, FP-Growth, Eclat, AprioriTid)
-/// agree exactly, with and without filters.
+/// All three mining strategies (Apriori, FP-Growth, Eclat) agree exactly,
+/// with and without filters.
 #[test]
-fn four_miners_agree() {
-    use geopattern_mining::{mine_apriori_tid, mine_eclat, AprioriTidConfig, EclatConfig};
+fn three_miners_agree() {
+    use geopattern_mining::{mine_eclat, EclatConfig};
     let sorted = |r: &geopattern_mining::MiningResult| {
         let mut v: Vec<(Vec<u32>, u64)> = r.all().map(|f| (f.items.clone(), f.support)).collect();
         v.sort();
@@ -309,11 +309,6 @@ fn four_miners_agree() {
         let ap = sorted(&mine(&ts, &AprioriConfig::apriori(support)));
         assert_eq!(ap, sorted(&mine_fp(&ts, &FpGrowthConfig::new(support))), "case {case}");
         assert_eq!(ap, sorted(&mine_eclat(&ts, &EclatConfig::new(support))), "case {case}");
-        assert_eq!(
-            ap,
-            sorted(&mine_apriori_tid(&ts, &AprioriTidConfig::new(support))),
-            "case {case}"
-        );
 
         let apf = sorted(&mine(
             &ts,
@@ -327,14 +322,6 @@ fn four_miners_agree() {
         assert_eq!(
             apf,
             sorted(&mine_eclat(&ts, &EclatConfig::new(support).with_filter(same.clone()))),
-            "case {case}"
-        );
-        assert_eq!(
-            apf,
-            sorted(&mine_apriori_tid(
-                &ts,
-                &AprioriTidConfig::new(support).with_filter(same.clone())
-            )),
             "case {case}"
         );
     }
